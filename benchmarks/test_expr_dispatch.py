@@ -5,7 +5,7 @@
 replaced the 19-arm if-chain with a module-level table of ``operator``
 based functions.  This benchmark keeps a faithful copy of the seed's
 if-chain and times both over the full operator mix; the win is reported
-to ``BENCH_pr10.json``.  The timing assertion is deliberately loose (the
+through :func:`update_bench_json`.  The timing assertion is deliberately loose (the
 table must at minimum not regress) — the hard assertion is semantic
 equivalence over the whole operator space.
 """

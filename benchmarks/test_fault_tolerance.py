@@ -1,8 +1,8 @@
-"""Fault-tolerance smoke benchmark: recovery counters per PR.
+"""Fault-tolerance smoke benchmark: recovery counters.
 
 Runs the three headline chaos scenarios at benchmark scale and emits
-their counters to ``BENCH_pr10.json`` (``fault_tolerance`` section), so
-the recovery story is tracked per PR alongside the perf trajectory:
+their counters to the bench report (``fault_tolerance`` section of
+:func:`update_bench_json`):
 
 - worker SIGKILL mid-round at ``workers=2`` — path multiset must equal
   the uninjected run, with ``recovery.requeued_chunks > 0``;

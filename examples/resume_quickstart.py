@@ -5,9 +5,9 @@ campaign partway through (standing in for a crash or SIGKILL), then
 resumes from the checkpoint and shows the resumed run finishing the
 *identical* test-case multiset a crash-free run produces:
 
-- the engine checkpoints the pending frontier, the high-level tree,
-  the suite so far, and the model-cache journal every
-  ``checkpoint_every`` paths (serial) or rounds (parallel);
+- the engine checkpoints the pending frontier, the high-level tree
+  and the suite so far every ``checkpoint_every`` paths (serial) or
+  rounds (parallel);
 - saves are torn-write safe (temp file + fsync + atomic rename; loads
   recover the longest valid frame prefix and count the damage under
   ``checkpoint.corrupt_frames_skipped``);

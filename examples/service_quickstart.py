@@ -1,4 +1,4 @@
-"""Service quickstart: a daemon, two concurrent tenants, shared cache.
+"""Service quickstart: a daemon, two concurrent tenants, one warm pool.
 
 Starts a :class:`ChefService` in a background thread (in production
 you'd run ``python -m repro.service serve --socket ... &``), then:
@@ -9,10 +9,9 @@ you'd run ``python -m repro.service serve --socket ... &``), then:
   that the Program image shipped to the shared worker pool exactly
   once (``program_ships == 1``: tenants share warm workers, not just
   a socket);
-- runs the same target again (a "warm" tenant) and prints the
-  cross-run cache counters: with a cache directory configured, solver
-  verdicts persisted by the first runs are reloaded and reused, so the
-  warm run re-solves nothing (``service.cache.cross_run_hits > 0``).
+- runs the same target again (a "warm" tenant) and shows that it
+  produces the identical path-event multiset, on the same warm workers
+  and without shipping the program again.
 
 Run:  python examples/service_quickstart.py
 """
@@ -31,7 +30,6 @@ config = ServiceConfig(
     workers=2,
     max_sessions=8,
     max_time_budget=60.0,
-    cache_dir=f"{workdir}/cache",
 )
 service = ChefService(config)
 threading.Thread(target=service.serve_forever, daemon=True).start()
@@ -73,15 +71,14 @@ print(
     f"workers, shipped the program {stats['pool']['program_ships']}x"
 )
 
-# -- a warm third run reuses persisted solver verdicts -------------------------
-_events, warm_result = client.run(clay=source)
-metrics = client.stats()["metrics"]
+# -- a warm third run repeats the same multiset on the warm pool ---------------
+warm_events, warm_result = client.run(clay=source)
+assert path_event_multiset(warm_events) == alice_paths, "warm run diverged"
+stats = client.stats()
+metrics = stats["metrics"]
 print(
-    f"warm run: {warm_result['ll_paths']} paths, "
-    f"{metrics.get('service.cache.persistent_loaded', 0)} cache entries "
-    f"loaded from disk, "
-    f"{metrics.get('service.cache.cross_run_hits', 0)} cross-run hits "
-    f"(verdicts reused instead of re-solved)"
+    f"warm run: {warm_result['ll_paths']} paths, identical path multiset; "
+    f"program shipped {stats['pool']['program_ships']}x in total"
 )
 print(f"sessions/sec so far: {metrics['service.sessions_per_sec']:.2f}")
 

@@ -49,14 +49,13 @@ class SymbolicSession:
         solver: Optional[SolverBackend] = None,
         workers: Optional[int] = None,
         worker_pool=None,
-        namespace: Optional[str] = None,
     ):
-        self._init_common(config, workers, solver, worker_pool, namespace)
+        self._init_common(config, workers, solver, worker_pool)
         self.language: Optional[GuestLanguage] = get_language(language)
         self.engine = self.language.create_engine(source, self.config, solver=solver)
 
     def _init_common(
-        self, config, workers, solver, worker_pool=None, namespace=None, telemetry=None
+        self, config, workers, solver, worker_pool=None, telemetry=None
     ) -> None:
         """State shared by every construction path; keep the alternate
         constructors delegating here so new fields appear everywhere."""
@@ -68,12 +67,6 @@ class SymbolicSession:
         self._program = None
         self._solver = solver
         self._worker_pool = worker_pool
-        #: optional pinned symbolic-variable namespace.  The default is a
-        #: fresh process-unique prefix per engine; pinning it makes
-        #: variable names — and therefore constraint fingerprints — a
-        #: pure function of the program, which is what lets a persistent
-        #: cache store (``ChefConfig.cache_store``) hit across runs.
-        self._namespace = namespace
         #: optional externally-owned Telemetry context for program
         #: sessions — the service daemon hands each session a
         #: ``session-<id>`` lane so the Chrome-trace export shows one
@@ -93,7 +86,6 @@ class SymbolicSession:
         solver: Optional[SolverBackend] = None,
         workers: Optional[int] = None,
         worker_pool=None,
-        namespace: Optional[str] = None,
         telemetry=None,
     ) -> "SymbolicSession":
         """Session over a finalized LIR :class:`Program` (no guest language).
@@ -105,12 +97,9 @@ class SymbolicSession:
         :class:`~repro.parallel.pool.WorkerPool` (the caller closes it);
         by default runs lease the process-wide shared pool, which stays
         warm between sessions — see :meth:`close_worker_pools`.
-        ``namespace`` pins the symbolic-variable namespace (the service
-        daemon derives one from the program digest so persistent-cache
-        fingerprints match across runs).
         """
         session = cls.__new__(cls)
-        session._init_common(config, workers, solver, worker_pool, namespace, telemetry)
+        session._init_common(config, workers, solver, worker_pool, telemetry)
         session._program = program
         return session
 
@@ -141,7 +130,7 @@ class SymbolicSession:
         if os.path.isdir(path):
             path = checkpoint_path(path)
         session = cls.__new__(cls)
-        session._init_common(None, workers, None, worker_pool, None, telemetry)
+        session._init_common(None, workers, None, worker_pool, telemetry)
         if workers is not None:
             config_overrides["workers"] = workers
         chef = Chef.from_checkpoint(
@@ -197,8 +186,6 @@ class SymbolicSession:
                 )
             if self._worker_pool is not None:
                 self._chef.worker_pool = self._worker_pool
-            if self._namespace is not None:
-                self._chef.ll.namespace = self._namespace
         return self._chef
 
     # -- exploration ----------------------------------------------------------
@@ -242,9 +229,9 @@ class SymbolicSession:
         finally:
             # Unwind the Chef loop *now*, not at GC time: closing the
             # inner generator runs its finally/with blocks, so a
-            # parallel run releases its worker-pool lease and flushes
-            # its persistent cache store the moment the consumer walks
-            # away — the shared pool is immediately re-acquirable.
+            # parallel run releases its worker-pool lease the moment the
+            # consumer walks away — the shared pool is immediately
+            # re-acquirable.
             inner.close()
 
     def run(self) -> RunResult:
@@ -264,8 +251,8 @@ class SymbolicSession:
         of buffering it unboundedly).  Exceptions from the exploration
         re-raise at the ``async for`` site; abandoning the iterator
         (``aclose``, task cancellation) stops the pump and closes the
-        underlying stream, so the worker-pool lease and persistent
-        store unwind exactly as in :meth:`events`.
+        underlying stream, so the worker-pool lease unwinds exactly as
+        in :meth:`events`.
         """
         import asyncio
         import threading

@@ -1,10 +1,11 @@
-"""Machine-readable perf trajectory: ``BENCH_pr10.json`` at the repo root.
+"""Machine-readable counters of the pytest benchmark suite.
 
 Benchmarks call :func:`update_bench_json` with a section name and a
 payload; the file accumulates sections across benchmark runs
 (read-modify-write), so one pytest invocation of the benchmark suite
-leaves a single JSON document tracking solver and parallel-exploration
-counters per PR.  The schema is documented in ``docs/architecture.md``.
+leaves a single JSON document of solver and parallel-exploration
+counters.  The repeated end-to-end benchmark lives in ``perfbench/``
+(declared by ``BENCHMARK.json``); this file is only a scratch report.
 
 The envelope carries a ``meta`` block (:func:`run_metadata`: git sha,
 python version, UTC timestamp, host core count) so a committed number
@@ -20,9 +21,10 @@ histograms of a traced run into a per-phase time breakdown (ship /
 merge / classify / worker compute), so the bench file says *where* a
 wall-clock number went, not just what it was.
 
-Set ``REPRO_BENCH_JSON`` to redirect the output — scaled-down smoke
-runs (CI, tight local budgets) should point it somewhere scratch so
-they don't clobber the committed full-workload numbers.
+The document goes to ``REPRO_BENCH_JSON`` when that is set, else to
+``repro-bench.json`` in the system temp directory — never into the
+checkout, so running the test suite leaves every tracked file as it
+was.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import json
 import os
 import platform
 import subprocess
+import tempfile
 import time
 from typing import Dict, Optional
 
@@ -41,7 +44,7 @@ _REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, os.pardir)
 )
 
-DEFAULT_PATH = os.path.join(_REPO_ROOT, "BENCH_pr10.json")
+DEFAULT_PATH = os.path.join(tempfile.gettempdir(), "repro-bench.json")
 
 
 def run_metadata() -> Dict:

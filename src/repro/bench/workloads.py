@@ -13,8 +13,7 @@ def branchy_source(n: int) -> str:
     """One independent branch per byte: ``2**n`` feasible paths.
 
     Each byte is its own constraint component, which is what lets the
-    model-cache subset/superset reuse (and its cross-worker merging)
-    shine on this workload.
+    model-cache subset/superset reuse shine on this workload.
     """
     lines = [
         "const BUF = 700;",

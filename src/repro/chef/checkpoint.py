@@ -15,17 +15,14 @@ set of reachable paths is):
   :class:`~repro.parallel.snapshot.StateSnapshot` images, and
 - the strategy RNG state and run counters.
 
-The model-cache journal is *not* duplicated here: runs with
-``checkpoint_dir`` set journal their cache to
-``<dir>/model-cache.store`` through the torn-write-tolerant
-:class:`~repro.solver.cache.PersistentCacheStore` framing, and resume
-reloads it the same way any ``cache_store`` run would.
+Solver model caches are not persisted: a resumed run starts with empty
+caches, which costs solver work but never changes a verdict.
 
-On-disk format mirrors the cache store: a magic header followed by
-length-prefixed pickled frames, each ``(MAGIC, kind, payload)``.  Saves
-go through a temp file + ``fsync`` + atomic rename, so a crash mid-save
-leaves the previous checkpoint intact; loads recover the longest valid
-frame prefix of a torn file and count the damage under
+On-disk format: length-prefixed pickled frames, each
+``(MAGIC, kind, payload)``.  Saves go through a temp file + ``fsync`` +
+atomic rename, so a crash mid-save leaves the previous checkpoint
+intact; loads recover the longest valid frame prefix of a torn file
+and count the damage under
 ``checkpoint.corrupt_frames_skipped``.
 """
 
@@ -40,17 +37,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 MAGIC = "repro-ckpt/1"
 CHECKPOINT_NAME = "campaign.ckpt"
-CACHE_STORE_NAME = "model-cache.store"
 
 _LEN = struct.Struct(">Q")
 
 
 def checkpoint_path(directory: str) -> str:
     return os.path.join(directory, CHECKPOINT_NAME)
-
-
-def cache_store_path(directory: str) -> str:
-    return os.path.join(directory, CACHE_STORE_NAME)
 
 
 @dataclass
@@ -137,8 +129,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Load a checkpoint, recovering the longest valid frame prefix.
 
     A torn or corrupt frame ends the scan (frames are dependent in
-    order, unlike cache-store frames); everything read up to it is
-    returned, with the damage counted in ``corrupt_frames_skipped``.
+    order); everything read up to it is returned, with the damage
+    counted in ``corrupt_frames_skipped``.
     Raises ``FileNotFoundError`` if there is no checkpoint and
     ``ValueError`` if not even the meta frame is recoverable.
     """

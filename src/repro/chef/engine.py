@@ -223,19 +223,6 @@ class Chef:
                 ckpt.corrupt_frames_skipped
             )
 
-    def _effective_cache_store(self) -> Optional[str]:
-        """Model-cache journal path: explicit store, else checkpoint dir."""
-        if self.config.cache_store:
-            return self.config.cache_store
-        if self.config.checkpoint_dir:
-            import os as _os
-
-            from repro.chef.checkpoint import cache_store_path
-
-            _os.makedirs(self.config.checkpoint_dir, exist_ok=True)
-            return cache_store_path(self.config.checkpoint_dir)
-        return None
-
     def _program_blob(self) -> bytes:
         if self._program_blob_cache is None:
             import pickle as _pickle
@@ -382,17 +369,6 @@ class Chef:
         telemetry = self.telemetry
         self._start_time = time.monotonic()
         self.ll.config.deadline = self._start_time + config.time_budget
-        store = None
-        store_mark = 0
-        cache = getattr(self.solver, "cache", None)
-        store_path = self._effective_cache_store()
-        if store_path and cache is not None:
-            from repro.solver.cache import PersistentCacheStore
-
-            store = PersistentCacheStore(store_path, faults=self._faults)
-            with telemetry.span("chef.cache_load", path=store.path):
-                store.load_into(cache)
-            store_mark = cache.journal_mark()
         if self._resume_frontier is not None:
             from repro.chef.hltree import HighLevelTree as _Tree
             from repro.parallel.snapshot import SnapshotDecoder, restore_state
@@ -435,14 +411,9 @@ class Chef:
                 yield MetricsUpdated(metrics=telemetry.metrics())
             if config.checkpoint_dir and self._ll_paths - ckpt_last >= ckpt_every:
                 ckpt_last = self._ll_paths
-                yield from self._checkpoint_serial(store, cache, store_mark)
-                if store is not None:
-                    store_mark = cache.journal_mark()
+                yield from self._checkpoint_serial()
         if exhausted is not None:
             yield BudgetExhausted(reason=exhausted)
-        if store is not None:
-            with telemetry.span("chef.cache_flush", path=store.path):
-                store.append_from(cache, store_mark)
         duration = time.monotonic() - self._start_time
         self._timeline.append((duration, self.tree.distinct_paths(), self._ll_paths))
         yield MetricsUpdated(metrics=telemetry.metrics())
@@ -468,7 +439,7 @@ class Chef:
         events, self._event_buffer = self._event_buffer, []
         return events
 
-    def _checkpoint_serial(self, store, cache, store_mark: int):
+    def _checkpoint_serial(self):
         """Serial-mode checkpoint: snapshot the live frontier and persist.
 
         The strategy is drained and re-fed (selection RNG advances, so
@@ -478,8 +449,6 @@ class Chef:
         from repro.chef.hltree import HighLevelTree as _Tree
         from repro.parallel.snapshot import snapshot_states
 
-        if store is not None:
-            store.append_from(cache, store_mark)
         states = self.strategy.drain()
         for live in states:
             live.meta["tree_node"] = live.meta.get("dyn_node", _Tree.ROOT)
@@ -500,10 +469,9 @@ class Chef:
         suffixes onto the high-level tree/CFG (the same transitions the
         serial loop feeds incrementally — each transition arrives in
         exactly one suffix), generates test cases, classifies pending
-        snapshots for the CUPA/strategy layer in O(suffix) per state,
-        and merges model-cache deltas across the pool — all through the
-        coordinator's ``on_merge`` hook, which fires per chunk in
-        deterministic chunk order (each merge also emits a
+        snapshots for the CUPA/strategy layer in O(suffix) per state —
+        all through the coordinator's ``on_merge`` hook, which fires per
+        chunk in deterministic chunk order (each merge also emits a
         :class:`BatchMerged` event).
         Exploration *order* differs from serial (batching), so
         time-budgeted runs may cover different prefixes; exhaustive
@@ -535,7 +503,6 @@ class Chef:
             trace_hlpc=True,
             telemetry=self.telemetry,
             pool=self.worker_pool,
-            cache_store=self._effective_cache_store(),
             solver_deadline_s=config.solver_deadline_s,
             fault_plan=config.fault_plan,
             quarantine_threshold=config.quarantine_threshold,
@@ -563,7 +530,6 @@ class Chef:
                 yield from self._flush_events()
                 yield MetricsUpdated(metrics=explorer.merged_metrics())
                 if config.checkpoint_dir and rounds % ckpt_every == 0:
-                    explorer.flush_cache_store()
                     handles = self.strategy.drain()
                     self._save_checkpoint([h.snapshot for h in handles])
                     for handle in handles:
@@ -710,14 +676,10 @@ class Chef:
         return batch
 
     def _solver_stats(self) -> Dict[str, int]:
-        """Backend counters plus this run's model-cache activity.
+        """Backend counters plus the model-cache activity of this run.
 
-        The ``cache_*`` keys come from the telemetry view of the cache
-        registry.  Default backends share the process-wide cache, whose
-        counters are cumulative across runs; the low-level engine adopts
-        that registry with *baseline* semantics, so these are this run's
-        deltas — the bespoke snapshot-at-start bookkeeping this method
-        used to carry lives in :meth:`Telemetry.adopt_registry` now.
+        The ``cache_*`` keys come from the telemetry view of the solver's
+        own cache, which counts on the solver's registry.
         """
         stats = dict(self.solver.stats.as_dict())
         for key, value in split_prefixed(self.telemetry.metrics(), "cache").items():

@@ -107,13 +107,6 @@ class ChefConfig:
     #: record tracing spans (Chrome-trace export, per-phase histograms).
     #: Metrics counters are always on; this gates only the tracer.
     trace: bool = False
-    #: path of a disk-backed model-cache journal
-    #: (:class:`~repro.solver.cache.PersistentCacheStore`): loaded when
-    #: the run starts, appended when it finishes, so component verdicts
-    #: carry across runs (and across service tenants).  Cross-run hits
-    #: require a deterministic symbolic namespace — fingerprints embed
-    #: variable names (the service derives one from the program digest).
-    cache_store: Optional[str] = None
     #: directory for crash-consistent campaign checkpoints (None = off).
     #: A SIGKILLed run resumes from ``<dir>/campaign.ckpt`` via
     #: ``Session.resume`` and completes the identical path multiset.

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is a small frozen (picklable) description of the
 faults one run should suffer: kill the worker that picks up a given
-chunk, wedge or fail solver queries, tear the tail off checkpoint/cache
+chunk, wedge or fail solver queries, tear the tail off checkpoint
 writes, drop service connections mid-stream.  Plans travel inside the
 worker-pool configure spec, so every process of a run injects from the
 same schedule — the faults fire at deterministic points in the *work
@@ -66,7 +66,7 @@ class FaultPlan:
     fail_query_every: Optional[int] = None
 
     # -- torn writes ----------------------------------------------------------
-    #: chop this many bytes off the end of a checkpoint/cache file
+    #: chop this many bytes off the end of a checkpoint file
     #: right after it is written (0 = no tearing).
     truncate_tail_bytes: int = 0
     #: how many writes to tear before the fault burns out.

@@ -269,15 +269,11 @@ class LowLevelEngine:
         self.solver: SolverBackend = (
             solver if solver is not None else make_default_solver(telemetry=telemetry)
         )
-        # One metrics() view per engine: adopt the registries of a
-        # caller-supplied solver and of the (possibly process-wide,
-        # hence baseline-delta'd) model cache.
+        # One metrics() view per engine: adopt the registry of a
+        # caller-supplied solver (its model cache counts there too).
         solver_registry = getattr(getattr(self.solver, "stats", None), "registry", None)
         if solver_registry is not None:
             telemetry.adopt_registry(solver_registry)
-        cache_registry = getattr(getattr(self.solver, "cache", None), "registry", None)
-        if cache_registry is not None:
-            telemetry.adopt_registry(cache_registry, baseline=True)
         self.config = config if config is not None else ExecutorConfig()
         self.stats = EngineStats(telemetry.registry)
         self._next_sid = 0

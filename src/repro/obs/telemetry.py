@@ -128,9 +128,9 @@ class Telemetry:
         self.pid = os.getpid()
         #: span/instant events in internal form (seconds; see exporters).
         self.events: List[Dict] = []
-        #: adopted (registry, baseline-snapshot) pairs — foreign registries
-        #: whose numbers belong in this context's metrics() view.
-        self._adopted: List = []
+        #: adopted foreign registries whose numbers belong in this
+        #: context's metrics() view.
+        self._adopted: List[MetricsRegistry] = []
         #: adopted static snapshots (e.g. merged per-worker registries).
         self._adopted_snapshots: List[Dict] = []
 
@@ -183,19 +183,17 @@ class Telemetry:
 
     # -- metrics aggregation --------------------------------------------------
 
-    def adopt_registry(self, registry: MetricsRegistry, baseline: bool = False) -> None:
+    def adopt_registry(self, registry: MetricsRegistry) -> None:
         """Include a foreign registry in :meth:`metrics`.
 
-        ``baseline=True`` snapshots the registry now and reports only
-        the delta — used for the process-wide model cache, whose
-        counters are cumulative across runs.  Adopting the context's
-        own registry is a no-op.
+        Adopting the context's own registry (or one already adopted) is
+        a no-op.
         """
         if registry is self.registry:
             return
-        if any(reg is registry for reg, _base in self._adopted):
+        if any(reg is registry for reg in self._adopted):
             return
-        self._adopted.append((registry, registry.snapshot() if baseline else None))
+        self._adopted.append(registry)
 
     def adopt_snapshot(self, snapshot: Dict) -> None:
         """Include a static snapshot (e.g. merged worker totals)."""
@@ -204,21 +202,6 @@ class Telemetry:
     def metrics(self) -> Dict:
         """Merged snapshot: own registry + adopted registries/snapshots."""
         parts: List[Dict] = [self.registry.snapshot()]
-        for registry, base in self._adopted:
-            snap = registry.snapshot()
-            if base:
-                snap = _subtract(snap, base)
-            parts.append(snap)
+        parts.extend(registry.snapshot() for registry in self._adopted)
         parts.extend(self._adopted_snapshots)
         return merge_snapshots(parts)
-
-
-def _subtract(snapshot: Dict, baseline: Dict) -> Dict:
-    """Numeric delta of two snapshots (histograms pass through)."""
-    out: Dict = {}
-    for name, value in snapshot.items():
-        if isinstance(value, dict):
-            out[name] = value
-        else:
-            out[name] = value - baseline.get(name, 0)
-    return out

@@ -1,11 +1,11 @@
 """Sharded parallel exploration across worker processes.
 
 The frontier of pending states is read-mostly by design (share-structure
-``ConstraintSet`` chains, an engine-wide ``ModelCache``), so it shards:
-a coordinator pops batches of pending states, ships them to persistent
-pool workers as batch-encoded portable snapshots through a shared
-work-stealing task queue, and deterministically merges the returned
-path records, new pending states and model-cache deltas.  See
+``ConstraintSet`` chains; each solver owns its ``ModelCache``), so it
+shards: a coordinator pops batches of pending states, ships them to
+persistent pool workers as batch-encoded portable snapshots through a
+shared work-stealing task queue, and deterministically merges the
+returned path records and new pending states.  See
 ``docs/architecture.md`` ("Parallel exploration").
 """
 

@@ -2,17 +2,14 @@
 
 :class:`ParallelExplorer` drives a persistent :class:`WorkerPool`
 (acquired from the process-wide shared registry, or passed in by a
-bench harness) and a master :class:`ModelCache`.  Each round it pops a
-batch from the frontier, splits it into **more chunks than workers**
-(``steal_factor``) feeding one shared task queue — workers steal the
-next chunk as they drain their current one, so a single deep path no
-longer serializes the round — and merges the results **in chunk
-order**: the merged record stream, the frontier contents and the master
-cache are a deterministic function of the frontier sequence,
-independent of which worker ran which chunk.  Worker-discovered cache
-entries are folded into the master cache and re-broadcast inside the
-next round's chunk tasks, which is what carries subset-UNSAT /
-superset-SAT reuse across process boundaries.
+bench harness).  Each round it pops a batch from the frontier, splits
+it into **more chunks than workers** (``steal_factor``) feeding one
+shared task queue — workers steal the next chunk as they drain their
+current one, so a single deep path no longer serializes the round — and
+merges the results **in chunk order**: the merged record stream and the
+frontier contents are a deterministic function of the frontier
+sequence, independent of which worker ran which chunk.  Each worker's
+solver keeps its own model cache; nothing is shipped between them.
 
 The pool outlives the explorer, and since the service daemon landed the
 lease is **round-scoped**: ``start()`` acquires the pool just long
@@ -24,8 +21,7 @@ pools.  If another session configured the pool in between, the next
 round detects it (``pool.active_run_id``) and re-broadcasts its own
 spec under its original run id: worker engines were rebuilt, so the
 explorer folds its cumulative per-worker metric slices into a base
-accumulator, drops its journal high-water marks (the full cache delta
-re-ships — sound, the entries dedup by fingerprint), and continues.
+accumulator and continues.
 
 Crash handling is **lost-chunk recovery**, not round abort: a dead
 worker raises :class:`~repro.parallel.pool.WorkerCrashError` carrying
@@ -44,18 +40,10 @@ reassembled per *original* chunk in original chunk order before
 session's path-event multiset — is identical to an uninjected run.
 Caller-owned pools still fail through to the caller.
 
-High-water marks and metric slices are keyed by **(pool epoch, pid)**,
-never bare pid: pids are recycled by the OS, and a replacement pool
-after a :class:`WorkerCrashError` can reuse a dead worker's pid — a
-bare-pid journal mark would then claim the new worker already holds
-entries it has never seen and silently skip deltas.
-
-With ``cache_store`` set, the master cache is seeded from a
-:class:`~repro.solver.cache.PersistentCacheStore` on ``start()`` (the
-loaded entries ride the normal delta broadcasts to the workers, tagged
-so hits count as ``cache.cross_run_hits``) and newly discovered entries
-are appended back on ``close()`` — subset-UNSAT/superset-SAT reuse then
-carries across runs and across tenants hitting similar targets.
+Metric slices are keyed by **(pool epoch, pid)**, never bare pid: pids
+are recycled by the OS, and a replacement pool after a
+:class:`WorkerCrashError` can reuse a dead worker's pid — a bare-pid
+key would then overwrite the dead worker's slice with the new one.
 
 Observability: the explorer takes the engine's
 :class:`~repro.obs.telemetry.Telemetry` context and records its
@@ -100,7 +88,6 @@ from repro.parallel.pool import (
 )
 from repro.parallel.snapshot import StateSnapshot, boot_snapshot
 from repro.parallel.worker import WorkerResult
-from repro.solver.cache import ModelCache, PersistentCacheStore
 from repro.solver.constraints import ConstraintSet
 from repro.solver.csp import DEFAULT_BUDGET
 
@@ -116,8 +103,8 @@ _STAT_PREFIXES = {
 class _WorkerSlice:
     """The slice of a :class:`WorkerResult` kept for stat aggregation.
 
-    Retaining the whole result would pin the last round's path records,
-    pending snapshots and cache delta for as long as the explorer lives.
+    Retaining the whole result would pin the last round's path records
+    and pending snapshots for as long as the explorer lives.
     ``metrics`` is the worker's *cumulative* registry snapshot.
     """
 
@@ -197,7 +184,6 @@ class ExploreResult:
     engine_stats: Dict[str, int] = field(default_factory=dict)
     solver_stats: Dict[str, int] = field(default_factory=dict)
     cache_stats: Dict[str, int] = field(default_factory=dict)
-    coordinator_cache: Dict[str, int] = field(default_factory=dict)
     #: merged dotted-name metrics snapshot across all workers (the
     #: ``*_stats`` dicts above are prefix-split views of this).
     metrics: Dict = field(default_factory=dict)
@@ -226,7 +212,6 @@ class ParallelExplorer:
         telemetry: Optional[Telemetry] = None,
         pool: Optional[WorkerPool] = None,
         steal_factor: int = 4,
-        cache_store: Optional[str] = None,
         solver_deadline_s: Optional[float] = None,
         fault_plan=None,
         quarantine_threshold: int = 3,
@@ -261,21 +246,6 @@ class ParallelExplorer:
         #: same-log child under the "coordinator" lane.
         self.telemetry = telemetry
         self._tele = telemetry.child("coordinator")
-        #: master model cache; worker deltas are folded here and
-        #: re-broadcast with the next round.  It keeps a *private*
-        #: registry: its counters describe coordinator-side folding and
-        #: would double-count reuse against the merged worker ``cache.*``
-        #: totals if they shared a registry.
-        self.master_cache = ModelCache()
-        #: per-worker journal high-water marks, keyed **(pool epoch,
-        #: pid)**: the master-cache mark each worker is known to have
-        #: merged up to.  Broadcasts cover the delta since the *lowest*
-        #: current-epoch mark (0 until every worker has reported once),
-        #: so a worker that stole nothing all round still catches up
-        #: later; receivers dedup re-shipped entries by fingerprint.
-        #: The epoch key is what stops a replacement pool's recycled
-        #: pids from inheriting a dead worker's mark and skipping deltas.
-        self._pid_marks: Dict[Tuple[int, int], int] = {}
         #: externally-owned pool (bench harness); never closed/replaced here.
         self._external_pool = pool
         self._run_id: Optional[int] = None
@@ -300,22 +270,9 @@ class ParallelExplorer:
         #: hook ``(snapshot, crash_count) -> None`` fired when a state is
         #: quarantined; the Chef engine surfaces it as a typed event.
         self.on_quarantine = None
-        #: optional disk-backed cache store: loaded on start(), appended
-        #: on close(); carries component verdicts across runs/tenants.
-        faults = None
-        if fault_plan is not None:
-            from repro.faults import make_injector
-
-            faults = make_injector(fault_plan)
-        self._store = (
-            PersistentCacheStore(cache_store, faults=faults) if cache_store else None
-        )
-        self._persistent_fps: FrozenSet = frozenset()
-        self._store_mark = 0
         self.batches = 0
         #: optional merge hook ``(chunk_index, WorkerResult) -> None``,
-        #: invoked per chunk in deterministic chunk order right after
-        #: its cache delta is folded into the master cache.  The Chef
+        #: invoked per chunk in deterministic chunk order.  The Chef
         #: engine subscribes here to ingest records, classify pending
         #: snapshots and emit session events; ``self.batches`` is the
         #: current round index while the hook runs.
@@ -324,7 +281,7 @@ class ParallelExplorer:
     # -- pool lifecycle -------------------------------------------------------
 
     def start(self) -> "ParallelExplorer":
-        """Begin a run: seed from the cache store and warm-configure the pool.
+        """Begin a run: warm-configure the pool.
 
         The configure lease is released immediately — leases are
         round-scoped, so between rounds the pool is free for other
@@ -335,21 +292,13 @@ class ParallelExplorer:
             return self
         # A new run means freshly-reset worker engines: drop any
         # previous run's cumulative per-worker counters (aggregation
-        # would double-count them) and broadcast marks (reconfigured
-        # workers hold nothing; pids can even be recycled).
+        # would double-count them).
         self._latest_by_pid.clear()
-        self._pid_marks.clear()
         self._metric_bases = []
         self._states_base = 0
         self._run_id = None
         self._pool_epoch = None
         self.batches = 0
-        if self._store is not None:
-            with self._tele.span("parallel.cache_load", path=self._store.path):
-                adopted = self._store.load_into(self.master_cache)
-            self._persistent_fps = self._store.seen_fps()
-            self._store_mark = self.master_cache.journal_mark()
-            self.telemetry.registry.gauge("parallel.persistent_loaded").set(adopted)
         self._started = True
         try:
             pool = self._acquire_round()
@@ -359,21 +308,8 @@ class ParallelExplorer:
         self._release_round(pool)
         return self
 
-    def flush_cache_store(self) -> None:
-        """Append newly discovered entries to the store mid-run.
-
-        Called at checkpoint cadence so a SIGKILLed run loses at most
-        one checkpoint interval of solver verdicts; frame-level dedup in
-        the store makes overlapping flushes harmless.
-        """
-        if self._store is None:
-            return
-        with self._tele.span("parallel.cache_flush", path=self._store.path):
-            self._store.append_from(self.master_cache, self._store_mark)
-        self._store_mark = self.master_cache.journal_mark()
-
     def close(self) -> None:
-        """End the run and flush newly discovered entries to the store.
+        """End the run.
 
         With round-scoped leases there is no held lease to release — the
         pool was already free (and warm) the moment the last round's
@@ -384,11 +320,6 @@ class ParallelExplorer:
         self._started = False
         self._run_id = None
         self._pool_epoch = None
-        if self._store is not None:
-            with self._tele.span("parallel.cache_flush", path=self._store.path):
-                appended = self._store.append_from(self.master_cache, self._store_mark)
-            self._store_mark = self.master_cache.journal_mark()
-            self.telemetry.registry.gauge("parallel.persistent_appended").set(appended)
 
     # -- round-scoped leasing --------------------------------------------------
 
@@ -419,10 +350,8 @@ class ParallelExplorer:
         """Re-broadcast our spec unless the pool is still configured for us.
 
         Reconfiguring resets the worker engines, so whatever cumulative
-        metric slices and journal marks we hold describe worker
-        generations that no longer exist: fold the slices into the base
-        accumulator and drop the marks (the next delta re-ships from 0 —
-        sound, receivers dedup by fingerprint).
+        metric slices we hold describe worker generations that no longer
+        exist: fold them into the base accumulator.
         """
         if (
             self._run_id is not None
@@ -431,7 +360,6 @@ class ParallelExplorer:
         ):
             return
         self._fold_metric_slices()
-        self._pid_marks.clear()
         self._run_id = pool.configure(
             self.program,
             self.exec_config,
@@ -439,7 +367,6 @@ class ParallelExplorer:
             self.solver_budget,
             trace_hlpc=self.trace_hlpc,
             trace=self.telemetry.enabled,
-            persistent_fps=self._persistent_fps or None,
             run_id=self._run_id,
             solver_deadline_s=self.solver_deadline_s,
             fault_plan=self.fault_plan,
@@ -527,29 +454,15 @@ class ParallelExplorer:
             crashed: Optional[WorkerCrashError] = None
             positions = sorted(outstanding)
             try:
-                marks = [
-                    mark
-                    for (mark_epoch, _pid), mark in self._pid_marks.items()
-                    if mark_epoch == epoch
-                ]
-                if len(marks) >= self.workers:
-                    base_mark = min(marks)
-                else:
-                    base_mark = 0  # some worker has never reported; it knows nothing
-                delta = self.master_cache.export_delta(base_mark)
-                round_mark = self.master_cache.journal_mark()
                 with self._tele.span(
                     "parallel.ship",
                     round=round_no,
                     states=sum(len(outstanding[p][3]) for p in positions),
                     chunks=len(positions),
-                    delta=len(delta),
                 ):
                     results = pool.run_round(
                         self._run_id,
-                        round_no,
                         [outstanding[p][3] for p in positions],
-                        delta,
                         positions=positions,
                         fault_keys=[
                             (round_no, outstanding[p][0], outstanding[p][2])
@@ -562,10 +475,7 @@ class ParallelExplorer:
                 self._release_round(pool)
             if crashed is None:
                 for position, result in zip(positions, results):
-                    # This worker merged [base_mark, round_mark) on top
-                    # of its own previous mark (>= base_mark), so it
-                    # holds the full prefix now.
-                    self._fold_result(epoch, result, round_mark)
+                    self._fold_result(epoch, result)
                     collected[position] = result
                     del outstanding[position]
                 continue
@@ -577,7 +487,7 @@ class ParallelExplorer:
             for position, result in sorted(crashed.partial.items()):
                 if position not in outstanding:
                     continue
-                self._fold_result(epoch, result, round_mark)
+                self._fold_result(epoch, result)
                 collected[position] = result
                 del outstanding[position]
             if self._external_pool is not None:
@@ -639,7 +549,7 @@ class ParallelExplorer:
         self.batches += 1
         return merged_results
 
-    def _fold_result(self, epoch: int, result: WorkerResult, round_mark: int) -> None:
+    def _fold_result(self, epoch: int, result: WorkerResult) -> None:
         """Fold one collected chunk result into coordinator state.
 
         Exactly-once by construction: each wire position is collected at
@@ -648,14 +558,11 @@ class ParallelExplorer:
         moved to the base accumulator only when the replacement pool is
         configured (``_fold_metric_slices``).
         """
-        self.master_cache.merge(result.cache_delta)
         self._latest_by_pid[(epoch, result.pid)] = _WorkerSlice(
             metrics=result.metrics,
             states_created=result.states_created,
         )
         self.telemetry.extend_events(result.trace_events)
-        self._pid_marks[(epoch, result.pid)] = round_mark
-
 
     # -- high-level exhaustive exploration ------------------------------------
 
@@ -693,7 +600,6 @@ class ParallelExplorer:
             engine_stats=split_prefixed(merged, "engine"),
             solver_stats=split_prefixed(merged, "solver"),
             cache_stats=split_prefixed(merged, "cache"),
-            coordinator_cache=self.master_cache.stats_dict(),
             metrics=merged,
             workers=self.workers,
             batches=self.batches,

@@ -78,8 +78,8 @@ _POLL = 0.1
 _DIGEST_MEMO = 8
 
 #: Pool identity generator: every WorkerPool instance gets a unique
-#: epoch, so journals/high-water marks keyed by (epoch, pid) can never
-#: confuse a replacement pool's recycled pids with the crashed pool's.
+#: epoch, so metric slices keyed by (epoch, pid) can never confuse a
+#: replacement pool's recycled pids with the crashed pool's.
 _EPOCH_COUNTER = itertools.count(1)
 
 #: Run identity generator — process-wide, not per pool, so a session
@@ -110,8 +110,8 @@ class WorkerPool:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        #: unique pool identity; (epoch, pid) keys journals/high-water
-        #: marks so a replacement pool's recycled pids stay distinct.
+        #: unique pool identity; (epoch, pid) keys metric slices so a
+        #: replacement pool's recycled pids stay distinct.
         self.epoch = next(_EPOCH_COUNTER)
         #: worker processes ever spawned by this pool (lifecycle tests
         #: assert warm reuse keeps this at ``workers``).
@@ -317,7 +317,6 @@ class WorkerPool:
         solver_budget: int,
         trace_hlpc: bool = False,
         trace: bool = False,
-        persistent_fps: Optional[frozenset] = None,
         run_id: Optional[int] = None,
         solver_deadline_s: Optional[float] = None,
         fault_plan=None,
@@ -328,8 +327,6 @@ class WorkerPool:
         results of other run ids are mutually ignored.  Each worker
         rebuilds its engine (fresh solver, cache, telemetry lane, intern
         tables) so a reused pool behaves exactly like fresh processes.
-        ``persistent_fps`` tags cache entries loaded from a persistent
-        store, so worker-side hits on them count as cross-run reuse.
         Passing an explicit ``run_id`` (one previously returned by this
         pool) *re*-configures the workers for that run — how interleaved
         sessions restore their configuration after another session used
@@ -350,7 +347,6 @@ class WorkerPool:
             "solver_budget": solver_budget,
             "trace_hlpc": trace_hlpc,
             "trace": trace,
-            "persistent_fps": persistent_fps,
             "solver_deadline_s": solver_deadline_s,
             "fault_plan": fault_plan,
         }
@@ -365,22 +361,17 @@ class WorkerPool:
     def run_round(
         self,
         run_id: int,
-        round_no: int,
         chunks: List,
-        delta,
         positions: Optional[List[int]] = None,
         fault_keys: Optional[List] = None,
     ) -> List:
         """Run one round of chunks across the pool; results in chunk order.
 
-        Chunks go through the one shared task queue (work stealing);
-        ``delta`` (model-cache entries since the last broadcast) rides
-        inside every chunk task — workers merge it once per round and
-        skip the copies, so correctness never depends on cross-queue
-        ordering.  Raises :class:`WorkerCrashError` if any worker dies
-        or reports an exception mid-round; the error carries the
-        already-collected results as ``partial`` (position → result) so
-        the coordinator can recover the lost positions only.
+        Chunks go through the one shared task queue (work stealing).
+        Raises :class:`WorkerCrashError` if any worker dies or reports
+        an exception mid-round; the error carries the already-collected
+        results as ``partial`` (position → result) so the coordinator
+        can recover the lost positions only.
 
         ``positions`` relabels the chunks (defaults to 0..n-1) — lost-
         chunk recovery uses it to requeue survivors under their original
@@ -394,9 +385,7 @@ class WorkerPool:
         if fault_keys is None:
             fault_keys = [None] * len(chunks)
         for position, chunk, fault_key in zip(positions, chunks, fault_keys):
-            self._task_q.put(
-                ("chunk", run_id, round_no, position, chunk, delta, fault_key)
-            )
+            self._task_q.put(("chunk", run_id, position, chunk, fault_key))
         messages = self._collect(run_id, "result", len(chunks))
         messages.sort(key=lambda msg: msg[2])  # (kind, run_id, position, result)
         return [msg[3] for msg in messages]

@@ -7,17 +7,14 @@ per-process engine for a new run, chunk tasks from the shared
 work-stealing queue execute batches of snapshots.  A configured worker
 owns a private :class:`LowLevelEngine` (same program image — cached by
 content digest across configures — same symbolic-variable namespace as
-the coordinator, an isolated :class:`ModelCache`) and one
+the coordinator, and a solver with its own model cache) and one
 :class:`~repro.obs.telemetry.Telemetry` context whose lane is
 ``worker-<pid>``.
 
-Per chunk it folds the coordinator's model-cache delta into its cache
-(once per round — rounds re-ship the delta in every chunk so no
-cross-queue ordering is needed, and the copies are skipped), activates
-and runs every state in the chunk, and returns terminated-path records,
-batch-encoded snapshots of the new pending alternates, a cumulative
-snapshot of its metrics registry, the trace events recorded during the
-chunk, and the cache entries it discovered since the merge.
+Per chunk it activates and runs every state in the chunk, and returns
+terminated-path records, batch-encoded snapshots of the new pending
+alternates, a cumulative snapshot of its metrics registry and the trace
+events recorded during the chunk.
 
 With high-level tracing on, states carry only the **suffix** of their
 (hlpc, opcode) stream since they were last restored (plus the running
@@ -48,7 +45,6 @@ from repro.parallel.snapshot import (
     restore_state,
     snapshot_states,
 )
-from repro.solver.cache import ModelCache
 from repro.solver.csp import CspSolver
 
 _ENGINE: Optional[LowLevelEngine] = None
@@ -63,10 +59,6 @@ _RESTORED = 0
 #: run_id this worker is configured for; tasks tagged otherwise are
 #: stale (from an abandoned round on a reused pool) and are dropped.
 _RUN_ID: Optional[int] = None
-
-#: last round whose cache delta was merged (every chunk of a round
-#: carries the same delta; merge once, skip the copies).
-_ROUND_MERGED = -1
 
 #: program images resident in this process, keyed by content digest —
 #: what makes the Program ship once per pool instead of once per run.
@@ -92,8 +84,6 @@ class WorkerResult:
     metrics: Dict = field(default_factory=dict)
     #: span events recorded during this chunk (worker-lane trace slice).
     trace_events: List = field(default_factory=list)
-    #: portable cache entries discovered during this chunk.
-    cache_delta: List = field(default_factory=list)
     #: states this worker has *created* (forks), excluding snapshots it
     #: merely restored — those are counted where they were first created.
     states_created: int = 0
@@ -109,7 +99,7 @@ def configure_worker(spec: Dict) -> None:
     comes from the digest cache; a ``program_blob`` in the spec
     populates it first.
     """
-    global _ENGINE, _RESTORED, _RUN_ID, _ROUND_MERGED, _FAULTS
+    global _ENGINE, _RESTORED, _RUN_ID, _FAULTS
     from repro.faults import make_injector
     from repro.lowlevel.expr import Sym, clear_intern_cache
 
@@ -122,18 +112,10 @@ def configure_worker(spec: Dict) -> None:
         _PROGRAM_CACHE[digest] = pickle.loads(blob)
     program = _PROGRAM_CACHE[digest]
     telemetry = Telemetry(enabled=spec["trace"], lane=f"worker-{os.getpid()}")
-    cache = ModelCache(registry=telemetry.registry)
-    persistent_fps = spec.get("persistent_fps")
-    if persistent_fps:
-        # Entries with these fingerprints were loaded from a persistent
-        # store; they arrive via the coordinator's delta broadcasts, and
-        # hits on them count as cross-run reuse (cache.cross_run_hits).
-        cache.mark_persistent(persistent_fps)
     engine = LowLevelEngine(
         program,
         solver=CspSolver(
             budget=spec["solver_budget"],
-            cache=cache,
             telemetry=telemetry,
             deadline_s=spec.get("solver_deadline_s"),
             faults=_FAULTS,
@@ -149,7 +131,6 @@ def configure_worker(spec: Dict) -> None:
     _ENGINE = engine
     _RESTORED = 0
     _RUN_ID = spec["run_id"]
-    _ROUND_MERGED = -1
 
 
 def _attach_hlpc_tracing(engine: LowLevelEngine) -> None:
@@ -187,20 +168,12 @@ def _attach_hlpc_tracing(engine: LowLevelEngine) -> None:
     engine.on_fork = on_fork
 
 
-def run_chunk(snapshots: List[StateSnapshot], delta: List, round_no: int) -> WorkerResult:
+def run_chunk(snapshots: List[StateSnapshot]) -> WorkerResult:
     """Run one chunk of snapshots; see module docstring for the protocol."""
-    global _RESTORED, _ROUND_MERGED
+    global _RESTORED
     engine = _ENGINE
     assert engine is not None, "worker used before configure_worker ran"
     telemetry = engine.telemetry
-    cache = engine.solver.cache
-    with telemetry.span(
-        "worker.merge_delta", entries=len(delta), skipped=round_no == _ROUND_MERGED
-    ):
-        if round_no != _ROUND_MERGED:
-            cache.merge(delta)
-            _ROUND_MERGED = round_no
-    mark = cache.journal_mark()
     _RESTORED += len(snapshots)
 
     records: List = []
@@ -230,7 +203,6 @@ def run_chunk(snapshots: List[StateSnapshot], delta: List, round_no: int) -> Wor
         verdicts=tuple(verdicts),
         metrics=telemetry.registry.snapshot(),
         trace_events=telemetry.drain_events(),
-        cache_delta=cache.export_delta(mark),
         states_created=engine._next_sid - _RESTORED,
     )
 
@@ -267,13 +239,13 @@ def _pool_worker_main(worker_index: int, ctrl_q, task_q, result_q) -> None:
             task = task_q.get(timeout=0.05)
         except _queue.Empty:
             continue
-        _kind, run_id, round_no, position, snapshots, delta, fault_key = task
+        _kind, run_id, position, snapshots, fault_key = task
         if run_id != _RUN_ID:
             continue  # stale task from an abandoned round
         if _FAULTS is not None and _FAULTS.should_kill_task(fault_key):
             _FAULTS.kill_self()  # SIGKILL: no cleanup, no goodbye
         try:
-            result = run_chunk(snapshots, delta, round_no)
+            result = run_chunk(snapshots)
             result_q.put(("result", run_id, position, result))
         except Exception:
             result_q.put(("error", run_id, worker_index, traceback.format_exc()))

@@ -4,9 +4,8 @@ The paper's argument — symbolic execution for interpreted languages
 should be cheap to stand up — extends past engine-as-a-library to a
 long-lived multi-tenant daemon: :class:`ChefService` multiplexes many
 concurrent sessions over one shared persistent worker pool with
-round-robin fair scheduling, per-session budget clamps, and a
-disk-backed model-cache store whose verdicts carry across runs and
-tenants.  :class:`ServiceClient` is the thin blocking client;
+round-robin fair scheduling and per-session budget clamps.
+:class:`ServiceClient` is the thin blocking client;
 ``python -m repro.service`` is the CLI (serve / run / stats / ping /
 shutdown); :mod:`repro.service.protocol` defines the JSON-lines wire
 format.

@@ -14,14 +14,9 @@ Per-session budgets are clamped against the service caps
 typed :mod:`repro.api.events` stream crosses the socket as JSON lines
 (see :mod:`repro.service.protocol`).
 
-Cross-tenant cache reuse: with ``cache_dir`` set, every distinct target
-gets a disk-backed :class:`~repro.solver.cache.PersistentCacheStore`
-keyed by its content digest, and the session's symbolic-variable
-namespace is *derived from that digest* — variable names, and therefore
-constraint fingerprints, become a pure function of the target, so a
-warm second run (same tenant or another) re-keys nothing and
-subset-UNSAT/superset-SAT verdicts hit across runs
-(``service.cache.cross_run_hits``).
+Sessions share the pool, never solver state: every session's solvers
+own their model caches, so a warm second run of a target re-solves its
+queries and produces the same path-event multiset as the cold run.
 
 Observability: one service-wide telemetry context (``service.*``
 counters, sessions/sec gauge) plus a Chrome-trace lane per session
@@ -33,7 +28,6 @@ coordinator and worker lanes.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import itertools
 import json
 import os
@@ -56,8 +50,7 @@ class ServiceConfig:
     #: Unix-domain socket path the daemon listens on.
     socket_path: str
     #: worker processes in the one shared pool (1 = serial sessions,
-    #: which still share the process-wide in-memory model cache but not
-    #: the round-robin pool scheduling).
+    #: run in the daemon process without round-robin pool scheduling).
     workers: int = 2
     #: sessions allowed to *run* concurrently; excess requests queue
     #: FIFO on the admission semaphore.
@@ -68,8 +61,6 @@ class ServiceConfig:
     #: requests that ask for unlimited paths (0) — a service never
     #: grants unbounded exploration.
     max_ll_paths: int = 10_000
-    #: directory of per-target persistent cache stores (None = off).
-    cache_dir: Optional[str] = None
     #: record tracing spans (per-session Chrome-trace lanes).
     trace: bool = False
     #: ceiling for per-session solver query deadlines, seconds.  When
@@ -83,7 +74,7 @@ class ServiceConfig:
 
 
 class ChefService:
-    """The daemon: admission, budgets, fair scheduling, cache reuse."""
+    """The daemon: admission, budgets, fair scheduling."""
 
     def __init__(self, config: ServiceConfig):
         self.config = config
@@ -97,8 +88,6 @@ class ChefService:
 
         self._faults = make_injector(config.fault_plan)
         self._connections = 0
-        if config.cache_dir:
-            os.makedirs(config.cache_dir, exist_ok=True)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -211,7 +200,7 @@ class ChefService:
                 self.registry.counter("service.sessions.finished").inc()
         except (ConnectionResetError, BrokenPipeError):
             # Client hung up mid-stream: aevents' finally already closed
-            # the underlying stream (released pool lease, flushed store).
+            # the underlying stream (released the pool lease).
             self.registry.counter("service.sessions.abandoned").inc()
         except Exception as exc:
             self.registry.counter("service.sessions.failed").inc()
@@ -239,8 +228,6 @@ class ChefService:
         except Exception:
             return
         for source_key, dest_key in (
-            ("cache.cross_run_hits", "service.cache.cross_run_hits"),
-            ("parallel.persistent_loaded", "service.cache.persistent_loaded"),
             ("recovery.worker_crashes", "service.recovery.worker_crashes"),
             ("recovery.requeued_chunks", "service.recovery.requeued_chunks"),
             ("recovery.quarantined_states", "service.recovery.quarantined_states"),
@@ -262,9 +249,7 @@ class ChefService:
 
         Targets are either raw Clay source (``clay``) explored via
         :meth:`SymbolicSession.from_program`, or a registered guest
-        language (``language`` + ``source``).  The target's content
-        digest keys both the symbolic namespace (deterministic
-        fingerprints) and its persistent cache store.
+        language (``language`` + ``source``).
         """
         chef_config = self._clamp_config(request.get("config") or {})
         resume_path = request.get("resume")
@@ -285,23 +270,14 @@ class ChefService:
         language = request.get("language")
         source = request.get("source")
         if clay_source is not None:
-            digest = self._digest("clay", clay_source)
             from repro.clay import compile_program
 
             program = compile_program(clay_source).program
-            chef_config = replace(chef_config, cache_store=self._store_path(digest))
             return SymbolicSession.from_program(
-                program,
-                chef_config,
-                namespace=f"svc{digest}:",
-                telemetry=session_tele,
+                program, chef_config, telemetry=session_tele
             )
         if language and source is not None:
-            digest = self._digest(str(language), source)
-            chef_config = replace(chef_config, cache_store=self._store_path(digest))
-            return SymbolicSession(
-                language, source, chef_config, namespace=f"svc{digest}:"
-            )
+            return SymbolicSession(language, source, chef_config)
         raise ValueError("run request needs 'clay' or 'language' + 'source'")
 
     def _clamp_config(self, requested: Dict[str, Any]) -> ChefConfig:
@@ -347,17 +323,6 @@ class ChefService:
             workers=self.config.workers,
             trace=self.config.trace,
         )
-
-    @staticmethod
-    def _digest(kind: str, source: str) -> str:
-        return hashlib.blake2b(
-            f"{kind}\x00{source}".encode("utf-8"), digest_size=6
-        ).hexdigest()
-
-    def _store_path(self, digest: str) -> Optional[str]:
-        if not self.config.cache_dir:
-            return None
-        return os.path.join(self.config.cache_dir, f"{digest}.cache")
 
     # -- introspection ---------------------------------------------------------
 

@@ -9,19 +9,14 @@ The layer is split along the seam a real SMT solver would drop into:
   (``check``/``max_value`` over constraint sets) all consumers target,
 - :mod:`repro.solver.csp` — the built-in finite-domain backend
   (interval propagation + backtracking search),
-- :mod:`repro.solver.cache` — the engine-wide component-sliced
-  counterexample/model cache shared by default backends,
+- :mod:`repro.solver.cache` — the component-sliced
+  counterexample/model cache each backend owns,
 - :mod:`repro.solver.interval` — interval arithmetic used for domain
   propagation and the ``upper_bound`` guest API.
 """
 
 from repro.solver.backend import CheckResult, SAT, SolverBackend, UNKNOWN, UNSAT
-from repro.solver.cache import (
-    ModelCache,
-    SolverCache,
-    global_model_cache,
-    reset_global_model_cache,
-)
+from repro.solver.cache import ModelCache
 from repro.solver.constraints import ConstraintSet
 from repro.solver.csp import CspSolver, SolverStats, make_default_solver
 from repro.solver.interval import Interval, interval_eval
@@ -34,12 +29,9 @@ __all__ = [
     "ModelCache",
     "SAT",
     "SolverBackend",
-    "SolverCache",
     "SolverStats",
     "UNKNOWN",
     "UNSAT",
-    "global_model_cache",
     "interval_eval",
     "make_default_solver",
-    "reset_global_model_cache",
 ]

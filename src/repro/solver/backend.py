@@ -53,7 +53,7 @@ class SolverBackend(ABC):
 
     Implementations expose a ``stats`` attribute with an ``as_dict()``
     method (counters reported by benchmarks) and may expose a ``cache``
-    attribute for engine-wide model caching.
+    attribute (its own :class:`~repro.solver.cache.ModelCache`).
 
     Observability contract (optional but recommended): keep the stats
     counters in a :class:`~repro.obs.metrics.MetricsRegistry` exposed

@@ -12,7 +12,7 @@ variables; the solver decides satisfiability by:
 2. normalising atoms to comparisons,
 3. splitting the query into independent connected components, adopting
    the ancestor model wholesale for components no new atom touches
-   (independence slicing) and consulting the engine-wide
+   (independence slicing) and consulting the solver's own
    :class:`~repro.solver.cache.ModelCache` per component,
 4. tightening per-variable domains from single-variable affine atoms,
 5. depth-first search with concrete checks and interval pruning.
@@ -46,11 +46,7 @@ from repro.lowlevel.expr import (
     negate_condition,
 )
 from repro.solver.backend import CheckResult, SAT, SolverBackend, UNKNOWN, UNSAT
-from repro.solver.cache import (
-    ModelCache,
-    UNSAT as UNSAT_ENTRY,
-    global_model_cache,
-)
+from repro.solver.cache import ModelCache, UNSAT as UNSAT_ENTRY
 from repro.solver.constraints import ConstraintSet
 from repro.solver.interval import Interval, interval_eval
 
@@ -66,7 +62,7 @@ Constraints = Union[ConstraintSet, Sequence]
 #: Counter fields, registered as ``solver.<field>`` in the obs registry.
 #: ``incremental_hits`` counts queries answered (fully or partly) from a
 #: known ancestor model; ``component_cache_hits`` counts components
-#: resolved from the engine-wide model cache; ``atoms_sliced`` counts
+#: resolved from the solver's model cache; ``atoms_sliced`` counts
 #: atoms never (re)solved because independence slicing adopted the
 #: ancestor model for their whole component.
 _STAT_FIELDS = (
@@ -291,30 +287,27 @@ def _holds(atom, env: Dict[str, int], memo: dict) -> bool:
 class CspSolver(SolverBackend):
     """Finite-domain solver over symbolic input variables.
 
-    By default every instance shares the process-wide
-    :func:`~repro.solver.cache.global_model_cache`, so component verdicts
-    flow between engines; pass an explicit ``cache`` to isolate one.
-    ``incremental=False`` reproduces the seed's solve-from-scratch
-    behaviour: no known-model reads, no chain annotation, no ancestor
-    fast path, no independence slicing (used for A/B measurement and
-    regression tests; the component cache is disabled separately by
-    passing an empty-bounded ``ModelCache``).
+    Every instance owns its :class:`~repro.solver.cache.ModelCache`,
+    registered on the solver's telemetry registry, so two solvers never
+    share a verdict.  ``incremental=False`` reproduces the seed's
+    solve-from-scratch behaviour: no known-model reads, no chain
+    annotation, no ancestor fast path, no independence slicing (used for
+    A/B measurement and regression tests).
     """
 
     def __init__(
         self,
         budget: int = DEFAULT_BUDGET,
-        cache: Optional[ModelCache] = None,
         incremental: bool = True,
         telemetry: Optional[Telemetry] = None,
         deadline_s: Optional[float] = None,
         faults=None,
     ):
         self.budget = budget
-        self.cache = cache if cache is not None else global_model_cache()
         self.incremental = incremental
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.stats = SolverStats(self.telemetry.registry)
+        self.cache = ModelCache(registry=self.telemetry.registry)
         #: per-query wall-clock deadline (seconds; None = unbounded).
         #: Expiry surfaces as UNKNOWN from :meth:`check` and a
         #: :class:`~repro.errors.SolverDeadline` from :meth:`solve`,
@@ -565,7 +558,7 @@ class CspSolver(SolverBackend):
             )
             if reuse is not None:
                 stats.cex_reuses += 1
-                self.cache.store(key, dict(reuse), atoms=comp.constraints)
+                self.cache.store(key, dict(reuse))
                 solution.update(reuse)
                 continue
             result, used = self._search_component(
@@ -574,10 +567,10 @@ class CspSolver(SolverBackend):
             steps_used += used
             stats.search_steps += used
             if result is None:
-                self.cache.store(key, UNSAT_ENTRY, atoms=comp.constraints)
+                self.cache.store(key, UNSAT_ENTRY)
                 unsat = True
                 break
-            self.cache.store(key, dict(result), atoms=comp.constraints)
+            self.cache.store(key, dict(result))
             solution.update(result)
 
         if sliced:
@@ -825,7 +818,7 @@ def make_default_solver(
     deadline_s: Optional[float] = None,
     faults=None,
 ) -> CspSolver:
-    """Factory used by the engine; backed by the engine-wide model cache.
+    """Factory used by the engine; the solver owns a fresh model cache.
 
     ``telemetry`` shares the caller's observability context (registry +
     tracer) so solver counters land in the engine's one registry.

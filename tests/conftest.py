@@ -1,17 +1,13 @@
 """Shared fixtures: keep process-global symbolic state out of tests.
 
-Three pieces of state outlive an engine run and would otherwise leak
+Two pieces of state outlive an engine run and would otherwise leak
 between tests:
 
 - the ``Sym`` registry (variable name → domain),
-- the expression intern table (structural identity is object identity),
-- the engine-wide solver model cache, which keys on interned-atom ids
-  and therefore MUST be dropped whenever the intern table is — a cleared
-  table recycles ids, and a stale cache entry under a recycled id would
-  answer the wrong query.
+- the expression intern table (structural identity is object identity).
 
-The autouse fixture resets all three after every test, in that
-dependency order.
+Solver model caches are per solver and key on the atoms themselves, so
+they need no reset.  The autouse fixture resets both after every test.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ import pytest
 
 from repro.interpreters import clay_sources_available
 from repro.lowlevel.expr import Sym, clear_intern_cache
-from repro.solver.cache import reset_global_model_cache
 
 #: Mark for tests that execute a guest interpreter end-to-end; the seed
 #: snapshot lacks the Clay interpreter sources (ROADMAP open item), so
@@ -34,6 +29,5 @@ requires_clay = pytest.mark.skipif(
 @pytest.fixture(autouse=True)
 def _reset_symbolic_state():
     yield
-    reset_global_model_cache()
     clear_intern_cache()
     Sym.reset_registry()

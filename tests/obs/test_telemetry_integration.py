@@ -96,7 +96,6 @@ class TestParallelAggregation:
         assert {
             "snapshot.decode",
             "snapshot.encode",
-            "worker.merge_delta",
             "solver.check",
             "engine.run_path",
         } <= worker_spans

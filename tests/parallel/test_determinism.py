@@ -15,7 +15,6 @@ from repro.chef.options import ChefConfig
 from repro.clay import compile_program
 from repro.lowlevel.executor import ExecutorConfig, LowLevelEngine
 from repro.parallel import ParallelExplorer, path_set
-from repro.solver.cache import ModelCache
 from repro.solver.csp import CspSolver
 
 _BYTES = 5  # 32 feasible paths: big enough to shard, fast enough for CI
@@ -25,7 +24,7 @@ _BYTES = 5  # 32 feasible paths: big enough to shard, fast enough for CI
 
 def _serial_result(program):
     engine = LowLevelEngine(
-        program, solver=CspSolver(cache=ModelCache()), config=ExecutorConfig()
+        program, solver=CspSolver(), config=ExecutorConfig()
     )
     return engine.explore(max_states=512)
 
@@ -38,7 +37,7 @@ class TestLowLevelDeterminism:
         result = _serial_result(compiled.program)
 
         manual_engine = LowLevelEngine(
-            compiled.program, solver=CspSolver(cache=ModelCache()), config=ExecutorConfig()
+            compiled.program, solver=CspSolver(), config=ExecutorConfig()
         )
         state = manual_engine.new_state()
         queue = manual_engine.run_path(state)
@@ -63,15 +62,6 @@ class TestLowLevelDeterminism:
         assert parallel.path_set() == serial.path_set()
         # Identical solver workload, just sharded: same query count.
         assert parallel.solver_stats["queries"] == serial.solver_stats["queries"]
-
-    def test_parallel_runs_show_cross_worker_cache_reuse(self):
-        compiled = compile_program(branchy_source(_BYTES))
-        explorer = ParallelExplorer(
-            compiled.program, workers=2, config=ExecutorConfig(), batch_size=2
-        )
-        result = explorer.explore(max_states=512)
-        assert result.cache_stats["merged_stores"] > 0
-        assert result.cache_stats["merged_hits"] > 0
 
 
 class TestChefDeterminism:

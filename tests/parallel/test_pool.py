@@ -344,54 +344,13 @@ class TestCloseEscalation:
 
 
 class TestEpochKeyedJournals:
-    def test_stale_epoch_marks_do_not_skip_deltas(self, monkeypatch):
-        """Regression: journal marks are keyed (pool epoch, pid).
-
-        Pids recycle; bare-pid marks surviving a crashed-pool
-        replacement would claim the new pool's workers already merged
-        entries they have never seen, and the delta broadcast would
-        silently skip them.  Marks from a dead epoch must not raise the
-        export base.
-        """
-        from repro.lowlevel.expr import Sym, mk_binop
-        from repro.parallel.snapshot import boot_snapshot
-
-        program = compile_program(branchy_source(3)).program
-        explorer = ParallelExplorer(program, workers=2)
-        explorer.start()
-        pool = shared_worker_pool(2)
-        x = Sym("pm_stale", 0, 255)
-        atom = mk_binop("eq", x, 1)
-        explorer.master_cache.store(
-            explorer.master_cache.key_for([atom]), {x.name: 1}, atoms=[atom]
-        )
-        # Forge sky-high marks under a previous pool's epoch, as left
-        # behind by a crash-then-replace with recycled pids.
-        explorer._pid_marks = {
-            (pool.epoch - 1, 111): 10**9,
-            (pool.epoch - 1, 222): 10**9,
-        }
-        shipped = {}
-        real_run_round = pool.run_round
-
-        def spy(run_id, round_no, chunks, delta, **kwargs):
-            shipped.setdefault("delta", list(delta))
-            return real_run_round(run_id, round_no, chunks, delta, **kwargs)
-
-        monkeypatch.setattr(pool, "run_round", spy)
-        explorer.submit([boot_snapshot(program)])
-        explorer.close()
-        assert len(shipped["delta"]) >= 1, (
-            "stale-epoch marks raised the delta base; replacement-pool "
-            "workers would silently miss cache entries"
-        )
-
     def test_crash_mid_run_retries_on_replacement_pool(self):
         """A worker crash mid-run replaces the pool and retries the round.
 
         The completed path set must be the full exhaustive one — the
         failed round merged nothing, the retry re-runs it verbatim, and
-        (epoch, pid) keying resets the journal marks for the new pool.
+        (epoch, pid) keying keeps the new pool's metric slices apart
+        from the dead pool's.
         """
         from repro.parallel.coordinator import path_set
         from repro.parallel.snapshot import boot_snapshot
@@ -422,8 +381,8 @@ class TestEpochKeyedJournals:
         assert replacement.epoch != first_epoch
         assert first_pool.closed or first_pool.broken
         assert len(records) == 16
-        # All live journal marks belong to the replacement epoch.
-        assert {epoch for (epoch, _pid) in explorer._pid_marks} <= {replacement.epoch}
+        # All live metric slices belong to the replacement epoch.
+        assert {epoch for (epoch, _pid) in explorer._latest_by_pid} <= {replacement.epoch}
         # Identical identities on an undisturbed run.
         baseline = ParallelExplorer(program, workers=2).explore(max_states=512)
         assert path_set(records) == baseline.path_set()

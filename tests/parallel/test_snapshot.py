@@ -19,7 +19,6 @@ from repro.lowlevel.expr import (
     mk_unop,
 )
 from repro.parallel.snapshot import path_record_of, restore_state, snapshot_state
-from repro.solver.cache import ModelCache, reset_global_model_cache
 from repro.solver.constraints import ConstraintSet
 from repro.solver.csp import CspSolver
 
@@ -28,7 +27,7 @@ from repro.solver.csp import CspSolver
 def _fresh_engine(n_bytes: int = 3) -> LowLevelEngine:
     compiled = compile_program(branchy_source(n_bytes))
     return LowLevelEngine(
-        compiled.program, solver=CspSolver(cache=ModelCache()), config=ExecutorConfig()
+        compiled.program, solver=CspSolver(), config=ExecutorConfig()
     )
 
 
@@ -54,7 +53,6 @@ class TestExprPickling:
         original_repr = repr(expr)
         original_fp = fingerprint(expr)
         blob = pickle.dumps(expr)
-        reset_global_model_cache()
         clear_intern_cache()
         Sym.reset_registry()
         first = pickle.loads(blob)

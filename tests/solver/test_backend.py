@@ -11,18 +11,17 @@ import pytest
 from repro.errors import SolverTimeout
 from repro.lowlevel.expr import Sym, evaluate, mk_binop
 from repro.solver.backend import SAT, SolverBackend, UNKNOWN, UNSAT
-from repro.solver.cache import ModelCache
 from repro.solver.constraints import ConstraintSet
 from repro.solver.csp import CspSolver
 
 
 def _fresh_solver(**kwargs) -> CspSolver:
-    return CspSolver(cache=ModelCache(), **kwargs)
+    return CspSolver(**kwargs)
 
 
 class TestProtocol:
     def test_cspsolver_is_a_backend(self):
-        assert isinstance(CspSolver(cache=ModelCache()), SolverBackend)
+        assert isinstance(CspSolver(), SolverBackend)
 
     def test_check_sat_carries_model(self):
         (x,) = (Sym("bk_a_0", 0, 255),)

@@ -1,15 +1,17 @@
 """ModelCache: component-keyed exact / subset / superset reuse."""
 
-from repro.lowlevel.expr import Sym, mk_binop
+import gc
+import weakref
+
+from repro.lowlevel.expr import Sym, clear_intern_cache, mk_binop
 from repro.solver.cache import (
     HIT_EXACT,
     HIT_SUBSET_UNSAT,
     HIT_SUPERSET_SAT,
     ModelCache,
     UNSAT,
-    global_model_cache,
-    reset_global_model_cache,
 )
+from repro.solver.csp import CspSolver
 
 
 def _atoms(prefix, n):
@@ -110,294 +112,38 @@ class TestBounds:
         assert cache.stats_dict()["hits"] == 0
 
 
-class TestGlobal:
-    def test_global_instance_shared_and_resettable(self):
-        cache = global_model_cache()
-        assert cache is global_model_cache()
-        atoms, _ = _atoms("mc_j", 1)
-        cache.store(ModelCache.key_for(atoms), UNSAT)
-        reset_global_model_cache()
-        assert len(global_model_cache()) == 0
-
-
-class TestDeltaProtocol:
-    """export_delta / merge: cross-process entry flow (PR 4)."""
-
-    def test_store_with_atoms_journals_once(self):
+class TestAtomKeys:
+    def test_entry_keeps_its_atoms_alive_across_intern_clear(self):
+        """Keys hold the atoms, not their ids: clearing the intern table
+        cannot free an atom and recycle its id into a stale hit."""
         cache = ModelCache()
-        atoms, xs = _atoms("mc_k", 1)
-        key = ModelCache.key_for(atoms)
-        cache.store(key, {xs[0].name: 40}, atoms=atoms)
-        cache.store(key, {xs[0].name: 41}, atoms=atoms)  # overwrite: no new entry
-        assert cache.journal_mark() == 1
-        assert len(cache.export_delta(0)) == 1
+        x = Sym("mc_live", 0, 255)
+        atom = mk_binop("eq", mk_binop("add", x, 7), 50)
+        alive = weakref.ref(atom)
+        cache.store(ModelCache.key_for([atom]), UNSAT)
+        del atom
+        clear_intern_cache()
+        gc.collect()
+        assert alive() is not None
+        assert cache.lookup(ModelCache.key_for([alive()])) == (HIT_EXACT, UNSAT)
 
-    def test_marks_slice_the_journal(self):
+    def test_reinterned_atom_misses_instead_of_hitting_stale(self):
         cache = ModelCache()
-        atoms, xs = _atoms("mc_l", 3)
-        for i, atom in enumerate(atoms):
-            cache.store(ModelCache.key_for([atom]), {xs[i].name: 40 + i}, atoms=[atom])
-        mark = cache.journal_mark()
-        assert mark == 3
-        assert cache.export_delta(mark) == []
-        assert len(cache.export_delta(1)) == 2
-
-    def test_merge_adopts_and_counts_hits(self):
-        source = ModelCache()
-        atoms, xs = _atoms("mc_m", 2)
-        for i, atom in enumerate(atoms):
-            source.store(ModelCache.key_for([atom]), {xs[i].name: 40 + i}, atoms=[atom])
-        source.store(ModelCache.key_for([atoms[0], atoms[1]]), UNSAT,
-                     atoms=[atoms[0], atoms[1]])
-
-        target = ModelCache()
-        adopted = target.merge(source.export_delta(0))
-        assert adopted == 3
-        assert target.merged_stores == 3
-        # Hits on merged entries are counted as cross-worker reuse.
-        kind, result = target.lookup(ModelCache.key_for([atoms[0]]))
-        assert kind == HIT_EXACT and result == {xs[0].name: 40}
-        assert target.merged_hits == 1
-        assert target.stats_dict()["merged_hits"] == 1
-
-    def test_merge_skips_known_entries(self):
-        source = ModelCache()
-        atoms, xs = _atoms("mc_n", 1)
-        source.store(ModelCache.key_for(atoms), {xs[0].name: 40}, atoms=atoms)
-        delta = source.export_delta(0)
-        target = ModelCache()
-        assert target.merge(delta) == 1
-        assert target.merge(delta) == 0  # fingerprint dedup
-        # An entry already stored locally is never overwritten by merge.
-        other = ModelCache()
-        other.store(ModelCache.key_for(atoms), {xs[0].name: 99})
-        assert other.merge(delta) == 0
-        _kind, result = other.lookup(ModelCache.key_for(atoms))
-        assert result == {xs[0].name: 99}
-
-    def test_merged_entries_are_rejournaled_for_rebroadcast(self):
-        source = ModelCache()
-        atoms, xs = _atoms("mc_o", 1)
-        source.store(ModelCache.key_for(atoms), {xs[0].name: 40}, atoms=atoms)
-        coordinator = ModelCache()
-        coordinator.merge(source.export_delta(0))
-        # A coordinator can re-export what it merged.
-        rebroadcast = coordinator.export_delta(0)
-        assert len(rebroadcast) == 1
-        third = ModelCache()
-        assert third.merge(rebroadcast) == 1
-
-    def test_journal_window_rolls(self):
-        cache = ModelCache(max_journal=2)
-        atoms, xs = _atoms("mc_p", 4)
-        for i, atom in enumerate(atoms):
-            cache.store(ModelCache.key_for([atom]), {xs[i].name: 40 + i}, atoms=[atom])
-        assert cache.journal_mark() == 4
-        # Stale marks just export what is still windowed (sound: less reuse).
-        assert len(cache.export_delta(0)) == 2
+        x = Sym("mc_fresh", 0, 255)
+        cache.store(ModelCache.key_for([mk_binop("eq", x, 3)]), UNSAT)
+        clear_intern_cache()
+        # Structurally equal but a new object: a sound miss.
+        assert cache.lookup(ModelCache.key_for([mk_binop("eq", x, 3)])) is None
 
 
-class TestEvictionPruning:
-    def test_evicted_entries_can_be_rejournaled(self):
-        cache = ModelCache(max_entries=2)
-        atoms, xs = _atoms("mc_q", 3)
-        for i, atom in enumerate(atoms):
-            cache.store(ModelCache.key_for([atom]), {xs[i].name: 40 + i}, atoms=[atom])
-        # Entry 0 was LRU-evicted; its bookkeeping must not leak nor block
-        # re-journaling when the verdict is rediscovered.
-        assert len(cache._known_fps) == 2
-        assert len(cache._fp_of_key) == 2
-        mark = cache.journal_mark()
-        cache.store(ModelCache.key_for([atoms[0]]), {xs[0].name: 40}, atoms=[atoms[0]])
-        assert len(cache.export_delta(mark)) == 1  # journaled again
-
-    def test_merged_keys_pruned_on_eviction(self):
-        source = ModelCache()
-        atoms, xs = _atoms("mc_r", 1)
-        source.store(ModelCache.key_for(atoms), {xs[0].name: 40}, atoms=atoms)
-        target = ModelCache(max_entries=1)
-        assert target.merge(source.export_delta(0)) == 1
-        other_atoms, other_xs = _atoms("mc_s", 2)
-        for i, atom in enumerate(other_atoms):
-            target.store(
-                ModelCache.key_for([atom]), {other_xs[i].name: 40 + i}, atoms=[atom]
-            )
-        assert not target._merged_keys
-
-
-class TestCrossRunCounting:
-    def test_persistent_hits_count_as_cross_run(self):
-        source = ModelCache()
-        atoms, xs = _atoms("mc_t", 1)
-        key = ModelCache.key_for(atoms)
-        source.store(key, {xs[0].name: 40}, atoms=atoms)
-        target = ModelCache()
-        delta = source.export_delta(0)
-        assert target.merge(delta) == 1
-        target.mark_persistent(fp for fp, _atoms, _result in delta)
-        kind, _result = target.lookup(key)
-        assert kind == HIT_EXACT
-        assert target.cross_run_hits == 1
-        assert target.merged_hits == 1  # also cross-worker provenance
-
-    def test_unmarked_merge_hits_are_not_cross_run(self):
-        source = ModelCache()
-        atoms, xs = _atoms("mc_u", 1)
-        key = ModelCache.key_for(atoms)
-        source.store(key, {xs[0].name: 40}, atoms=atoms)
-        target = ModelCache()
-        target.merge(source.export_delta(0))
-        target.lookup(key)
-        assert target.cross_run_hits == 0
-
-    def test_clear_drops_persistent_marks(self):
-        cache = ModelCache()
-        atoms, _ = _atoms("mc_v", 1)
-        cache.mark_persistent([frozenset([1, 2])])
-        cache.clear()
-        assert not cache._persistent_fps
-
-
-class TestPersistentStore:
-    def _store_with_entries(self, tmp_path, prefix, n):
-        from repro.solver.cache import PersistentCacheStore
-
-        cache = ModelCache()
-        atoms, xs = _atoms(prefix, n)
-        for i, atom in enumerate(atoms):
-            cache.store(ModelCache.key_for([atom]), {xs[i].name: 40 + i}, atoms=[atom])
-        store = PersistentCacheStore(tmp_path / "verdicts.cache")
-        assert store.append_from(cache) == n
-        return store, atoms
-
-    def test_roundtrip_across_handles(self, tmp_path):
-        from repro.solver.cache import PersistentCacheStore
-
-        store, atoms = self._store_with_entries(tmp_path, "mc_w", 3)
-        fresh = PersistentCacheStore(store.path)
-        cache = ModelCache()
-        assert fresh.load_into(cache) == 3
-        assert cache.persistent_loaded == 3
-        kind, _result = cache.lookup(ModelCache.key_for([atoms[0]]))
-        assert kind == HIT_EXACT
-        assert cache.cross_run_hits == 1
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        from repro.solver.cache import PersistentCacheStore
-
-        store = PersistentCacheStore(tmp_path / "absent.cache")
-        assert store.load() == []
-        assert store.load_into(ModelCache()) == 0
-
-    def test_append_dedups_by_fingerprint(self, tmp_path):
-        store, _atoms_list = self._store_with_entries(tmp_path, "mc_x", 2)
-        cache = ModelCache()
-        fresh_handle_entries = store.load()  # same handle: already seen
-        assert fresh_handle_entries == []
-        # Re-appending entries the handle has seen writes nothing.
-        source = ModelCache()
-        atoms, xs = _atoms("mc_x", 2)  # same names -> same fingerprints
-        for i, atom in enumerate(atoms):
-            source.store(ModelCache.key_for([atom]), {xs[i].name: 40 + i}, atoms=[atom])
-        assert store.append_from(source) == 0
-
-    def test_corrupt_frame_is_skipped_not_fatal(self, tmp_path):
-        from repro.solver.cache import PersistentCacheStore
-
-        store, atoms = self._store_with_entries(tmp_path, "mc_y", 1)
-        # Splice a well-framed but unpicklable blob between two good frames.
-        garbage = b"not a pickle at all"
-        with open(store.path, "ab") as fh:
-            fh.write(len(garbage).to_bytes(8, "big") + garbage)
-        more = ModelCache()
-        extra_atoms, xs = _atoms("mc_y2", 1)
-        more.store(
-            ModelCache.key_for(extra_atoms), {xs[0].name: 40}, atoms=extra_atoms
-        )
-        late = PersistentCacheStore(store.path)
-        late.append_from(more)
-        fresh = PersistentCacheStore(store.path)
-        assert len(fresh.load()) == 2  # both good frames, garbage skipped
-
-    def test_truncated_tail_ends_scan_cleanly(self, tmp_path):
-        from repro.solver.cache import PersistentCacheStore
-
-        store, atoms = self._store_with_entries(tmp_path, "mc_z", 2)
-        with open(store.path, "ab") as fh:
-            fh.write((10 ** 6).to_bytes(8, "big") + b"short")  # crashed writer
-        fresh = PersistentCacheStore(store.path)
-        assert len(fresh.load()) == 2
-
-
-class TestTornWrites:
-    """Torn-write recovery: cut the store at every offset of its tail frame.
-
-    A crashed (or fault-injected) writer can leave any prefix of the
-    final frame on disk; every such prefix must load back as the
-    longest valid frame prefix, with the damage folded into the
-    ``cache.corrupt_frames_skipped`` counter.
-    """
-
-    def _two_frame_store(self, tmp_path):
-        from repro.solver.cache import PersistentCacheStore
-
-        store = PersistentCacheStore(tmp_path / "verdicts.cache")
-        for frame_no in range(2):
-            cache = ModelCache()
-            atoms, xs = _atoms(f"torn_{frame_no}", 2)
-            for i, atom in enumerate(atoms):
-                cache.store(
-                    ModelCache.key_for([atom]), {xs[i].name: 40 + i}, atoms=[atom]
-                )
-            assert store.append_from(cache) == 2
-        return store
-
-    @staticmethod
-    def _frame_offsets(path):
-        import os
-
-        offsets = []
-        size = os.path.getsize(path)
-        with open(path, "rb") as fh:
-            while fh.tell() < size:
-                offsets.append(fh.tell())
-                length = int.from_bytes(fh.read(8), "big")
-                fh.seek(length, 1)
-        return offsets, size
-
-    def test_truncate_at_every_offset_of_final_frame(self, tmp_path):
-        from repro.solver.cache import PersistentCacheStore
-
-        store = self._two_frame_store(tmp_path)
-        offsets, size = self._frame_offsets(store.path)
-        assert len(offsets) == 2
-        blob = open(store.path, "rb").read()
-        torn = tmp_path / "torn.cache"
-        for cut in range(offsets[-1], size):
-            torn.write_bytes(blob[:cut])
-            handle = PersistentCacheStore(torn)
-            cache = ModelCache()
-            assert handle.load_into(cache) == 2, f"prefix lost at cut {cut}"
-            expected_skips = 0 if cut == offsets[-1] else 1
-            assert handle.corrupt_frames_skipped == expected_skips
-            assert cache.corrupt_frames_skipped == expected_skips
-
-    def test_desynchronised_stream_after_tear_and_append_is_bounded(self, tmp_path):
-        """A tear followed by a later append must not crash the loader."""
-        from repro.faults import FaultInjector, FaultPlan
-        from repro.solver.cache import PersistentCacheStore
-
-        store = self._two_frame_store(tmp_path)
-        injector = FaultInjector(FaultPlan(truncate_tail_bytes=7))
-        assert injector.maybe_truncate(str(store.path))
-        # A fresh handle appends after the torn tail: the stream past
-        # the tear is desynchronised garbage.
-        late = PersistentCacheStore(store.path)
-        cache = ModelCache()
-        atoms, xs = _atoms("torn_late", 1)
-        cache.store(ModelCache.key_for(atoms), {xs[0].name: 40}, atoms=atoms)
-        late.append_from(cache)
-        fresh = PersistentCacheStore(store.path)
-        entries = fresh.load()
-        assert len(entries) == 2  # the pre-tear frame survives
-        assert fresh.corrupt_frames_skipped >= 1
+class TestPerSolver:
+    def test_two_solvers_never_share_a_verdict(self):
+        x = Sym("mc_solo", 0, 255)
+        atoms = [mk_binop("eq", mk_binop("mul", x, 3), 42)]
+        first, second = CspSolver(), CspSolver()
+        assert first.cache is not second.cache
+        assert first.solve(atoms) == {"mc_solo": 14}
+        assert len(first.cache) == 1
+        assert len(second.cache) == 0
+        assert second.solve(atoms) == {"mc_solo": 14}
+        assert second.cache.hits == 0  # solved itself, no shared entry

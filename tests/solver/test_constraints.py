@@ -1,7 +1,6 @@
 """ConstraintSet: structural sharing, slicing indexes, model fast path."""
 
 from repro.lowlevel.expr import Sym, mk_binop
-from repro.solver.cache import ModelCache
 from repro.solver.constraints import ConstraintSet
 from repro.solver.csp import CspSolver
 
@@ -115,7 +114,7 @@ class TestModels:
 
     def test_solver_records_model_on_set(self):
         (x,) = _vars("ccs_k", 1)
-        solver = CspSolver(cache=ModelCache())
+        solver = CspSolver()
         cs = ConstraintSet.from_atoms([mk_binop("eq", x, 7)])
         assert solver.solve(cs) == {x.name: 7}
         assert cs.model == {x.name: 7}
@@ -123,7 +122,7 @@ class TestModels:
     def test_model_recheck_fast_path(self):
         """Appending a satisfied atom must not trigger any search."""
         x, y = _vars("ccs_l", 2)
-        solver = CspSolver(cache=ModelCache())
+        solver = CspSolver()
         base = ConstraintSet.from_atoms(
             [mk_binop("gt", x, 100), mk_binop("lt", y, 50)]
         )
@@ -142,7 +141,7 @@ class TestModels:
         atoms = [mk_binop("eq", v, 10 + i) for i, v in enumerate(xs)]
         base = ConstraintSet.from_atoms(atoms)
         base.note_model({v.name: 10 + i for i, v in enumerate(xs)})
-        solver = CspSolver(cache=ModelCache())
+        solver = CspSolver()
         probe = base.append(mk_binop("ne", xs[0], 10))  # contradicts x0 atom
         assert solver.solve(probe) is None
         # Components of x1..x3 were adopted from the model, never searched.
@@ -151,7 +150,7 @@ class TestModels:
 
     def test_known_unsat_memoized(self):
         (x,) = _vars("ccs_n", 1)
-        solver = CspSolver(cache=ModelCache())
+        solver = CspSolver()
         cs = ConstraintSet.from_atoms([mk_binop("eq", x, 1), mk_binop("eq", x, 2)])
         assert solver.solve(cs) is None
         assert cs.known_unsat

@@ -10,35 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import BenchSettings
-from repro.interpreters import clay_sources_available
 
 _REPORTS = []
-
-#: Benchmark modules that execute a guest interpreter end-to-end; the
-#: seed snapshot is missing the Clay interpreter sources (ROADMAP open
-#: item), so these skip with an explicit reason until they land.
-_NEEDS_GUEST_INTERPRETER = {
-    "test_fig8_path_counts.py",
-    "test_fig9_coverage.py",
-    "test_fig10_efficiency.py",
-    "test_fig11_opt_breakdown.py",
-    "test_fig12_overhead.py",
-    "test_sec66_differential.py",
-    "test_table2_effort.py",
-    "test_table3_packages.py",
-    "test_table4_features.py",
-}
-
-
-def pytest_collection_modifyitems(config, items):
-    if clay_sources_available():
-        return
-    skip = pytest.mark.skip(
-        reason="interpreter Clay sources are not in the tree (seed gap; see ROADMAP)"
-    )
-    for item in items:
-        if item.path.name in _NEEDS_GUEST_INTERPRETER:
-            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

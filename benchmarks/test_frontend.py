@@ -16,7 +16,7 @@ from repro.bench.reporting import render_table
 from repro.chef.options import ChefConfig
 from repro.frontend import compile_pylite
 from repro.symtest.runner import SymbolicTestRunner
-from repro.targets import pylite_targets
+from repro.targets import all_targets
 
 
 def _lowering_counters(source: str) -> dict:
@@ -39,7 +39,7 @@ def test_frontend_packs(benchmark, settings, report):
 
     def run_all():
         rows = []
-        for target in pylite_targets():
+        for target in all_targets():
             runner = SymbolicTestRunner(
                 target.source,
                 target.symbolic_test(),

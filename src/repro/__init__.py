@@ -3,19 +3,21 @@
 Chef turns a vanilla interpreter into a symbolic execution engine for the
 interpreter's language by executing the interpreter itself on a low-level
 symbolic execution platform, tracing high-level program locations, and
-steering exploration with class-uniform path analysis (CUPA).
+steering exploration with class-uniform path analysis (CUPA).  The
+built-in guest language, PyLite, is compiled straight onto that platform
+instead of being interpreted (``docs/architecture.md``, "Paper coverage").
 
 Quickstart — the session API (``repro.api``)::
 
     from repro import ChefConfig, Session, TestCaseFound
 
-    session = Session("minipy", '''
+    session = Session("pylite", '''
     def check(s):
-        if s.find("@") < 3:
+        if s[0] == "@":
             raise ValueError("bad")
-        return 1
+        return ord(s[1])
 
-    data = sym_string("\\x00\\x00\\x00\\x00\\x00")
+    data = sym_string("ab")
     print(check(data))
     ''', ChefConfig(strategy="cupa-path", time_budget=5.0))
 
@@ -26,12 +28,10 @@ Quickstart — the session API (``repro.api``)::
 
 ``Session(language, source, config, solver=..., workers=N)`` accepts any
 registered guest language (``repro.languages()`` lists them; register
-your own with ``repro.register_language``).  The classic facades
-(``MiniPyEngine``, ``MiniLuaEngine``, ``SymbolicTestRunner``) remain as
-thin wrappers over the same machinery.
+your own with ``repro.register_language``).  :class:`SymbolicTestRunner`
+drives the paper's symbolic-test API (Fig. 7) over the same machinery.
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+See ``docs/architecture.md`` for the layer map.
 """
 
 from repro.api import (
@@ -52,18 +52,9 @@ from repro.api import (
     languages,
     register_language,
 )
-from repro.chef import (
-    Chef,
-    ChefConfig,
-    InterpreterBuildOptions,
-    RunResult,
-    TestCase,
-    TestSuite,
-)
+from repro.chef import Chef, ChefConfig, RunResult, TestCase, TestSuite
 from repro.errors import ReproError
 from repro.faults import FaultPlan
-from repro.interpreters.minilua import MiniLuaEngine
-from repro.interpreters.minipy import MiniPyEngine
 from repro.obs import Telemetry
 from repro.symtest import SymbolicTest, SymbolicTestRunner
 
@@ -77,10 +68,7 @@ __all__ = [
     "ChefConfig",
     "FaultPlan",
     "GuestLanguage",
-    "InterpreterBuildOptions",
     "MetricsUpdated",
-    "MiniLuaEngine",
-    "MiniPyEngine",
     "PathCompleted",
     "ReproError",
     "RunFinished",

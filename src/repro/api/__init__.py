@@ -4,12 +4,12 @@ Two abstractions make the engine a *library* rather than a pair of
 hardcoded facades:
 
 - :class:`GuestLanguage` (:mod:`repro.api.language`) — one object per
-  guest language bundling everything that used to be string-dispatched
-  on ``language == "minipy"``: the engine factory, host-VM replay,
-  symbolic-test driver codegen (literal quoting, input declarations)
-  and comment-prefix / LoC rules.  MiniPy and MiniLua register
-  themselves (``repro/interpreters/*/language.py``); a third language
-  is one :func:`register_language` call away.
+  guest language bundling everything that would otherwise be
+  string-dispatched on the language name: the engine factory (whose
+  facade also replays tests), symbolic-test driver codegen (literal
+  quoting, input declarations) and comment-prefix / LoC rules.  PyLite registers itself
+  (``repro/interpreters/pylite/language.py``); another language is
+  one :func:`register_language` call away.
 
 - :class:`SymbolicSession` (:mod:`repro.api.session`, exported as
   ``Session``) — a streaming facade over one exploration:

@@ -1,13 +1,11 @@
 """The GuestLanguage plugin protocol and registry.
 
 A :class:`GuestLanguage` bundles everything the toolchain needs to know
-about one guest language — the pieces that used to be scattered behind
-``language == "minipy"`` string comparisons:
+about one guest language, so nothing else compares language names:
 
 - an **engine factory** building the Chef-generated engine facade for a
-  source text (``MiniPyEngine`` / ``MiniLuaEngine`` for the built-ins),
-- a **host-VM factory** for replaying concrete inputs in the vanilla
-  reference interpreter (differential testing, coverage),
+  source text (``PyLiteEngine`` for the built-in PyLite); the facade
+  also replays generated tests in the vanilla reference interpreter,
 - **driver codegen** for the Fig. 7 symbolic-test API: guest string
   literal quoting and ``sym_string`` / ``sym_int`` input declarations,
 - **comment prefix** / LoC rules (Table 3 accounting).
@@ -20,8 +18,8 @@ through :func:`get_language`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List
 
 from repro.errors import ReproError
 
@@ -34,7 +32,7 @@ class UnknownLanguageError(ReproError):
 class GuestLanguage:
     """One guest language, as the engine toolchain sees it."""
 
-    #: registry key ("minipy", "minilua", ...).
+    #: registry key ("pylite", ...).
     name: str
     #: line-comment prefix, used by LoC accounting (Table 3).
     comment_prefix: str
@@ -44,9 +42,6 @@ class GuestLanguage:
     engine_factory: Callable[..., Any]
     #: render a host string as a guest-language string literal.
     quote_literal: Callable[[str], str]
-    #: ``host_vm_factory(module, symbolic_inputs)`` → vanilla host VM
-    #: with ``run()``, for canonical replay outside the engine facade.
-    host_vm_factory: Optional[Callable[..., Any]] = None
     #: human-oriented one-liner for docs and error messages.
     description: str = ""
 
@@ -55,14 +50,6 @@ class GuestLanguage:
     def create_engine(self, source: str, config=None, solver=None):
         """Build the Chef-generated symbolic execution engine."""
         return self.engine_factory(source, config, solver)
-
-    def host_vm(self, module, symbolic_inputs):
-        """Vanilla host VM over a compiled module (replay reference)."""
-        if self.host_vm_factory is None:
-            raise ReproError(
-                f"guest language {self.name!r} has no host VM registered"
-            )
-        return self.host_vm_factory(module, symbolic_inputs)
 
     # -- symbolic-test driver codegen (Fig. 7) -------------------------------
 
@@ -85,9 +72,9 @@ class GuestLanguage:
 
 def escape_double_quoted(text: str) -> str:
     """Render ``text`` as a double-quoted literal with ``\\\\``/``\\"``
-    escapes and ``\\xNN`` for non-printables — the escape set both
-    built-in frontend lexers accept.  Language modules alias or wrap
-    this so the escape rules live in one place."""
+    escapes and ``\\xNN`` for non-printables — a valid Python literal,
+    so the PyLite frontend reads it back unchanged.  Language modules
+    alias or wrap this so the escape rules live in one place."""
     chars = []
     for c in text:
         o = ord(c)
@@ -103,11 +90,7 @@ def escape_double_quoted(text: str) -> str:
 
 
 _REGISTRY: Dict[str, GuestLanguage] = {}
-_BUILTIN_MODULES = (
-    "repro.interpreters.minipy.language",
-    "repro.interpreters.minilua.language",
-    "repro.interpreters.pylite.language",
-)
+_BUILTIN_MODULES = ("repro.interpreters.pylite.language",)
 _builtins_loaded = False
 
 

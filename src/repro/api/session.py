@@ -1,12 +1,11 @@
 """The SymbolicSession facade: one exploration, blocking or streaming.
 
-A session ties together everything the five legacy entry points used to
-re-plumb separately — language lookup, engine construction, config,
-solver backend, worker count — behind one object::
+A session ties together language lookup, engine construction, config,
+solver backend and worker count behind one object::
 
     from repro import Session, ChefConfig, TestCaseFound
 
-    session = Session("minipy", source, ChefConfig(strategy="cupa-path"))
+    session = Session("pylite", source, ChefConfig(strategy="cupa-path"))
     for event in session.events():
         if isinstance(event, TestCaseFound):
             print(event.case.inputs, event.case.exception_type)

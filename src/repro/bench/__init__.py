@@ -1,21 +1,10 @@
-"""Benchmark harness regenerating every table and figure of the paper."""
+"""Helpers for the pytest benchmark suite: settings, tables, JSON report.
 
-from repro.bench.harness import (
-    PAPER_CONFIGS,
-    BenchSettings,
-    PackageRun,
-    run_package,
-    run_matrix,
-)
-from repro.bench.effort import effort_table
-from repro.bench import reporting
+The repeated end-to-end benchmark lives in ``perfbench/``; it uses
+:mod:`repro.bench.workloads` and :func:`repro.bench.perfjson.run_metadata`.
+"""
 
-__all__ = [
-    "BenchSettings",
-    "PAPER_CONFIGS",
-    "PackageRun",
-    "effort_table",
-    "reporting",
-    "run_matrix",
-    "run_package",
-]
+from repro.bench.harness import BenchSettings
+from repro.bench.reporting import render_table
+
+__all__ = ["BenchSettings", "render_table"]

@@ -1,34 +1,13 @@
-"""Experiment runner shared by all benchmarks.
+"""Settings shared by the pytest benchmark suite (``benchmarks/``).
 
-The four configurations of §6.3 are reproduced verbatim:
-
-- **Baseline**          random state selection, unmodified interpreter
-- **CUPA Only**         CUPA selection, unmodified interpreter
-- **Optimizations Only** random selection, optimized interpreter
-- **CUPA + Optimizations** both (the "aggregate")
-
-Budgets are wall-clock seconds per run, scaled down from the paper's 30
-minutes; set ``REPRO_BENCH_BUDGET`` / ``REPRO_BENCH_SEEDS`` /
-``REPRO_BENCH_FULL`` to trade time for fidelity.
+Budgets are wall-clock seconds per run; set ``REPRO_BENCH_BUDGET`` to
+trade time for fidelity.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-from repro.chef.options import ChefConfig, InterpreterBuildOptions
-from repro.symtest import SymbolicTestRunner
-from repro.targets import TargetPackage
-
-#: name -> (strategy for Fig. 8, interpreter options)
-PAPER_CONFIGS: Dict[str, Tuple[str, InterpreterBuildOptions]] = {
-    "CUPA + Optimizations": ("cupa-path", InterpreterBuildOptions.full()),
-    "Optimizations Only": ("random", InterpreterBuildOptions.full()),
-    "CUPA Only": ("cupa-path", InterpreterBuildOptions.vanilla()),
-    "Baseline": ("random", InterpreterBuildOptions.vanilla()),
-}
+from dataclasses import dataclass
 
 
 @dataclass
@@ -36,148 +15,3 @@ class BenchSettings:
     """Environment-tunable benchmark knobs."""
 
     budget: float = float(os.environ.get("REPRO_BENCH_BUDGET", "1.5"))
-    seeds: int = int(os.environ.get("REPRO_BENCH_SEEDS", "1"))
-    full: bool = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
-    path_instr_budget: int = int(os.environ.get("REPRO_BENCH_PATH_BUDGET", "60000"))
-
-
-@dataclass
-class PackageRun:
-    """Summary of one (package, config, seed) run."""
-
-    package: str
-    language: str
-    config: str
-    seed: int
-    hl_paths: int
-    ll_paths: int
-    coverage: float            # 0..1 over coverable lines
-    exception_names: List[str] = field(default_factory=list)
-    undocumented: List[str] = field(default_factory=list)
-    hangs: int = 0
-    crashes: int = 0
-    duration: float = 0.0
-    timeline: List[Tuple[float, int, int]] = field(default_factory=list)
-    #: backend counters (queries, incremental_hits, component_cache_hits,
-    #: atoms_sliced, search_steps, ...) for solver-regression tracking.
-    solver_stats: Dict[str, int] = field(default_factory=dict)
-
-
-def run_package(
-    package: TargetPackage,
-    strategy: str,
-    options: InterpreterBuildOptions,
-    budget: float,
-    seed: int,
-    config_name: str = "",
-    path_instr_budget: int = 60_000,
-    measure_coverage: bool = True,
-) -> PackageRun:
-    """Run one symbolic test under one configuration and summarise it."""
-    # Resolve the package's guest language through the plugin registry
-    # up front: a typo'd / unregistered language fails here with the
-    # full list of known languages instead of deep inside the runner.
-    language = package.guest_language()
-    config = ChefConfig(
-        strategy=strategy,
-        seed=seed,
-        time_budget=budget,
-        interpreter_options=options,
-        path_instr_budget=path_instr_budget,
-    )
-    runner = SymbolicTestRunner(package.source, package.symbolic_test(), config)
-    result = runner.run_symbolic()
-
-    exception_names: List[str] = []
-    undocumented: List[str] = []
-    for type_id in sorted(result.suite.exceptions()):
-        name = runner.engine.exception_name(type_id)
-        exception_names.append(name)
-        if not package.is_documented(name):
-            undocumented.append(name)
-
-    coverage = runner.line_coverage(result) if measure_coverage else 0.0
-    return PackageRun(
-        package=package.name,
-        language=language.name,
-        config=config_name or strategy,
-        seed=seed,
-        hl_paths=result.hl_paths,
-        ll_paths=result.ll_paths,
-        coverage=coverage,
-        exception_names=exception_names,
-        undocumented=undocumented,
-        hangs=len(result.suite.hangs()),
-        crashes=len(result.suite.crashes()),
-        duration=result.duration,
-        timeline=list(result.timeline),
-        solver_stats=dict(result.solver_stats),
-    )
-
-
-def run_matrix(
-    packages: List[TargetPackage],
-    configs: Dict[str, Tuple[str, InterpreterBuildOptions]],
-    settings: Optional[BenchSettings] = None,
-    strategy_override: Optional[str] = None,
-) -> List[PackageRun]:
-    """Run every (package, config, seed) combination.
-
-    ``strategy_override`` forces a strategy for *CUPA* configs (Fig. 9
-    uses coverage-optimized CUPA where Fig. 8 uses path-optimized).
-    """
-    settings = settings or BenchSettings()
-    runs: List[PackageRun] = []
-    for package in packages:
-        for config_name, (strategy, options) in configs.items():
-            actual = strategy
-            if strategy_override and strategy != "random":
-                actual = strategy_override
-            for seed in range(settings.seeds):
-                runs.append(
-                    run_package(
-                        package,
-                        actual,
-                        options,
-                        settings.budget,
-                        seed,
-                        config_name=config_name,
-                        path_instr_budget=settings.path_instr_budget,
-                    )
-                )
-    return runs
-
-
-def mean(values: List[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
-
-
-#: solver counters benchmarks report (incremental-solving visibility).
-SOLVER_STAT_KEYS = (
-    "queries",
-    "search_steps",
-    "incremental_hits",
-    "component_cache_hits",
-    "atoms_sliced",
-    "cex_reuses",
-)
-
-
-def sum_solver_stats(runs: List[PackageRun], keys=SOLVER_STAT_KEYS) -> Dict[str, int]:
-    """Total solver counters over a set of runs (regressions show here)."""
-    totals: Dict[str, int] = {k: 0 for k in keys}
-    for run in runs:
-        for key in keys:
-            totals[key] += int(run.solver_stats.get(key, 0))
-    return totals
-
-
-def aggregate(runs: List[PackageRun], package: str, config: str) -> Dict[str, float]:
-    """Mean metrics over seeds for one (package, config) cell."""
-    cell = [r for r in runs if r.package == package and r.config == config]
-    return {
-        "hl": mean([float(r.hl_paths) for r in cell]),
-        "ll": mean([float(r.ll_paths) for r in cell]),
-        "coverage": mean([r.coverage for r in cell]),
-        "hangs": mean([float(r.hangs) for r in cell]),
-    }

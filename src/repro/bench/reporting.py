@@ -1,10 +1,8 @@
-"""Paper-shaped text rendering of benchmark results."""
+"""Fixed-width text tables for benchmark reports."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-from repro.bench.harness import SOLVER_STAT_KEYS, PackageRun, aggregate, sum_solver_stats
+from typing import List, Sequence
 
 
 def render_table(headers: Sequence[str], rows: List[Sequence[object]]) -> str:
@@ -17,106 +15,3 @@ def render_table(headers: Sequence[str], rows: List[Sequence[object]]) -> str:
         if index == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def fig8_rows(runs: List[PackageRun], packages: List[str], configs: List[str]) -> List[List[object]]:
-    """Path-count ratios relative to Baseline (the paper plots P/P_base)."""
-    rows = []
-    for package in packages:
-        base = max(aggregate(runs, package, "Baseline")["hl"], 1e-9)
-        row: List[object] = [package]
-        for config in configs:
-            value = aggregate(runs, package, config)["hl"]
-            row.append(f"{value / base:8.2f}x")
-        row.append(f"{base:8.1f}")
-        rows.append(row)
-    return rows
-
-
-def fig9_rows(runs: List[PackageRun], packages: List[str], configs: List[str]) -> List[List[object]]:
-    rows = []
-    for package in packages:
-        row: List[object] = [package]
-        for config in configs:
-            value = aggregate(runs, package, config)["coverage"]
-            row.append(f"{100.0 * value:6.1f}%")
-        rows.append(row)
-    return rows
-
-
-def fig10_series(
-    runs: List[PackageRun], language: str, configs: List[str], buckets: int = 6
-) -> Dict[str, List[float]]:
-    """HL/LL path ratio over time, averaged across packages (per config).
-
-    Time is normalised to the run budget and split into ``buckets``
-    intervals, mirroring the paper's per-minute averages.
-    """
-    series: Dict[str, List[float]] = {}
-    for config in configs:
-        sums = [0.0] * buckets
-        counts = [0] * buckets
-        for run in runs:
-            if run.language != language or run.config != config:
-                continue
-            duration = max(run.duration, 1e-9)
-            for t, hl, ll in run.timeline:
-                index = min(int(buckets * t / duration), buckets - 1)
-                if ll > 0:
-                    sums[index] += hl / ll
-                    counts[index] += 1
-        series[config] = [
-            (sums[i] / counts[i] if counts[i] else 0.0) for i in range(buckets)
-        ]
-    return series
-
-
-def fig11_rows(
-    per_build_paths: Dict[str, Dict[int, float]], build_labels: Dict[int, str]
-) -> List[List[object]]:
-    """Paths per cumulative build, relative to the full build (=100%)."""
-    rows = []
-    for package, by_level in per_build_paths.items():
-        full = max(by_level.get(3, 0.0), 1e-9)
-        row: List[object] = [package]
-        for level in range(4):
-            row.append(f"{100.0 * by_level.get(level, 0.0) / full:7.1f}%")
-        rows.append(row)
-    return rows
-
-
-def solver_stats_rows(
-    runs: List[PackageRun], keys: Sequence[str] = SOLVER_STAT_KEYS
-) -> List[List[object]]:
-    """Per-config totals of the incremental-solving counters.
-
-    One row per configuration appearing in ``runs`` (plus a Total row),
-    making solver-time regressions — more search steps, less reuse —
-    visible in every benchmark report.
-    """
-    configs: List[str] = []
-    for run in runs:
-        if run.config not in configs:
-            configs.append(run.config)
-    rows: List[List[object]] = []
-    for config in configs:
-        totals = sum_solver_stats([r for r in runs if r.config == config], keys)
-        rows.append([config] + [totals[k] for k in keys])
-    if len(configs) > 1:
-        totals = sum_solver_stats(runs, keys)
-        rows.append(["Total"] + [totals[k] for k in keys])
-    return rows
-
-
-def fig12_rows(
-    overheads: Dict[int, Dict[int, float]], build_labels: Dict[int, str]
-) -> List[List[object]]:
-    """Chef/NICE per-path-time overhead per frame count and build level."""
-    rows = []
-    for frames in sorted(overheads):
-        row: List[object] = [frames]
-        for level in sorted(build_labels):
-            value = overheads[frames].get(level)
-            row.append(f"{value:9.1f}x" if value is not None else "      n/a")
-        rows.append(row)
-    return rows

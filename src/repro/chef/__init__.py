@@ -7,12 +7,12 @@ This package implements the paper's primary contribution:
 - :mod:`repro.chef.cupa` — Class-Uniform Path Analysis (§3.2, Fig. 5),
 - :mod:`repro.chef.strategies` — the baseline and the path-/coverage-
   optimized CUPA instantiations (§3.3, §3.4),
-- :mod:`repro.chef.options` — interpreter build options (§4.2),
+- :mod:`repro.chef.options` — the run configuration,
 - :mod:`repro.chef.engine` — the engine loop gluing it all together,
 - :mod:`repro.chef.testcase` — generated test cases and suites.
 """
 
-from repro.chef.options import ChefConfig, InterpreterBuildOptions
+from repro.chef.options import ChefConfig
 from repro.chef.hltree import HighLevelCfg, HighLevelTree
 from repro.chef.cupa import CupaTree
 from repro.chef.strategies import (
@@ -31,7 +31,6 @@ __all__ = [
     "CupaTree",
     "HighLevelCfg",
     "HighLevelTree",
-    "InterpreterBuildOptions",
     "PathCupaStrategy",
     "RandomStrategy",
     "RunResult",

@@ -1,76 +1,9 @@
-"""Interpreter build options and engine configuration.
-
-The paper's §4.2 optimizations are *compile-time* interpreter variants
-(conditional compilation behind a ``--with-symbex`` configure flag).  Here
-they are flag words written into the interpreter's static data segment
-before boot; the Clay interpreters read them through dedicated globals.
-Figure 11/12 benches ablate them cumulatively in the paper's order:
-
-    no optimizations
-    + symbolic pointer avoidance   (upper-bound malloc, interning off)
-    + hash neutralization
-    + fast-path elimination
-"""
+"""Engine configuration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
-
-
-@dataclass(frozen=True)
-class InterpreterBuildOptions:
-    """Which symbolic-execution-friendly interpreter build to run."""
-
-    #: concretise allocation sizes via upper_bound() and disable interning.
-    symbolic_pointer_avoidance: bool = False
-    #: replace string/int hash functions with a constant.
-    hash_neutralization: bool = False
-    #: remove short-circuit fast paths (length checks, early returns).
-    fast_path_elimination: bool = False
-
-    @classmethod
-    def vanilla(cls) -> "InterpreterBuildOptions":
-        return cls()
-
-    @classmethod
-    def full(cls) -> "InterpreterBuildOptions":
-        return cls(
-            symbolic_pointer_avoidance=True,
-            hash_neutralization=True,
-            fast_path_elimination=True,
-        )
-
-    @classmethod
-    def cumulative(cls, level: int) -> "InterpreterBuildOptions":
-        """Build at cumulative optimization ``level`` 0..3 (Fig. 11 order)."""
-        if not 0 <= level <= 3:
-            raise ValueError(f"cumulative level must be 0..3, got {level}")
-        return cls(
-            symbolic_pointer_avoidance=level >= 1,
-            hash_neutralization=level >= 2,
-            fast_path_elimination=level >= 3,
-        )
-
-    @classmethod
-    def cumulative_labels(cls) -> Dict[int, str]:
-        return {
-            0: "No Optimizations",
-            1: "+ Symbolic Pointer Avoidance",
-            2: "+ Hash Neutralization",
-            3: "+ Fast Path Elimination",
-        }
-
-    def with_(self, **kwargs) -> "InterpreterBuildOptions":
-        return replace(self, **kwargs)
-
-    def as_flag_words(self) -> Dict[str, int]:
-        """Global-name → value map consumed by the interpreter images."""
-        return {
-            "opt_symptr": int(self.symbolic_pointer_avoidance),
-            "opt_hash_neutral": int(self.hash_neutralization),
-            "opt_fastpath_elim": int(self.fast_path_elimination),
-        }
 
 
 @dataclass
@@ -91,10 +24,6 @@ class ChefConfig:
     path_instr_budget: int = 400_000
     #: solver search budget in steps.
     solver_budget: int = 12_000
-    #: interpreter build to execute.
-    interpreter_options: InterpreterBuildOptions = field(
-        default_factory=InterpreterBuildOptions.full
-    )
     #: de-emphasis factor for earlier forks in coverage CUPA (§3.4).
     fork_weight_p: float = 0.75
     #: sample interval (in completed ll paths) for the Fig. 10 time series.

@@ -79,12 +79,3 @@ class MiniLangCompileError(InterpreterError):
 
 class HostVMError(InterpreterError):
     """Raised by the host reference interpreters on internal faults."""
-
-
-class ChefError(ReproError):
-    """Raised by the Chef engine for configuration/usage errors."""
-
-
-class ReplayMismatchError(ReproError):
-    """A replayed test case diverged from the behaviour recorded during
-    symbolic execution (used by differential testing, §6.6)."""

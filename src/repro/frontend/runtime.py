@@ -2,9 +2,10 @@
 
 Compiled PyLite never manipulates raw words: every TAC value is the
 address of a tagged box, and every operator lowers to a ``CALL`` into one
-of these functions.  The library is what the Clay interpreter is for
-MiniPy — except here it is ~30 small LIR routines instead of a whole
-interpreter, because the frontend already compiled the control flow.
+of these functions.  The library plays the part of the paper's
+interpreter runtime — except here it is ~30 small LIR routines instead
+of a whole interpreter, because the frontend already compiled the
+control flow.
 
 Memory layout (word-addressed):
 

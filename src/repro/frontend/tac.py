@@ -57,9 +57,9 @@ STMT_KINDS = {
     "assert": 7, "raise": 8, "break": 9, "continue": 10, "pass": 11,
 }
 
-#: PyLite exception type ids.  The builtin block matches MiniPy's table
-#: (interpreters/minipy/bytecode.py) so scenario packs and documented
-#: exception names stay comparable across guests.
+#: PyLite exception type ids.  The numbers are fixed: the hand-assembled
+#: runtime (``runtime.py``) raises by id, and test cases record the id as
+#: ``exception_type``, which the CPython replay must reproduce.
 EXC_IDS: Dict[str, int] = {
     "Exception": 1,
     "ValueError": 2,

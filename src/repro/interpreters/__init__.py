@@ -1,31 +1,14 @@
-"""Interpreters prepared for Chef: MiniPy and MiniLua.
+"""Guest languages prepared for Chef.
 
-Each language ships four pieces, mirroring the paper's case studies (§5):
+Each language lives in its own subpackage and registers a
+:class:`~repro.api.language.GuestLanguage` from its ``language.py``.
+The built-in one is PyLite (:mod:`repro.interpreters.pylite`), a Python
+subset lowered straight to LVM bytecode by :mod:`repro.frontend` and
+replayed under CPython.
 
-- a host compiler from source text to bytecode (the paper relies on
-  CPython/Lua's own compilers; only the *interpreter loop* runs inside the
-  symbolic VM),
-- an interpreter written in Clay that executes that bytecode on the LVM,
-  instrumented with ``log_pc`` and the §4.2 optimizations,
-- a host reference VM used for test replay and line-coverage measurement
-  (the paper replays tests in a vanilla interpreter),
-- an engine facade that wires image loading, build options and Chef.
+:mod:`repro.interpreters.minipy` and :mod:`repro.interpreters.minilua`
+hold the host toolchains of the paper's two case studies (lexer,
+parser, bytecode compiler, reference host VM).  They register no
+language: running them symbolically needs their interpreters written
+in Clay, which this tree does not have.
 """
-
-from __future__ import annotations
-
-import pathlib
-
-#: Where the Clay translation units of the guest interpreters live.
-CLAY_SRC_DIR = pathlib.Path(__file__).resolve().parent / "clay_src"
-
-
-def clay_sources_available() -> bool:
-    """True when the Clay interpreter sources are present in the tree.
-
-    The seed snapshot is missing ``clay_src/`` entirely (see ROADMAP
-    open items), which makes every end-to-end Chef run impossible; test
-    and benchmark modules that need a guest interpreter use this to skip
-    with an explicit reason instead of failing on a FileNotFoundError.
-    """
-    return (CLAY_SRC_DIR / "rt_core.clay").is_file()

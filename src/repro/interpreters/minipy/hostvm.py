@@ -1,9 +1,8 @@
 """Host reference VM for MiniPy bytecode.
 
 This is the stand-in for the *vanilla* CPython used in the paper for test
-replay and line-coverage measurement (§6.1).  Its semantics deliberately
-mirror the Clay interpreter instruction by instruction; differential tests
-execute both on the same inputs and compare observable output.
+replay and line-coverage measurement (§6.1).  Its semantics follow the
+paper's Clay-hosted interpreter instruction by instruction.
 
 Values map to native Python values (int, bool, str, None, list, dict) plus
 small wrapper objects for functions, exception types/instances, method

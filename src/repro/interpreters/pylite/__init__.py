@@ -1,7 +1,6 @@
 """PyLite: a restricted-but-real Python subset compiled by repro.frontend.
 
-Unlike MiniPy/MiniLua — interpreters compiled from Clay that *interpret*
-guest bytecode on the LVM — PyLite source is lowered straight to LVM
-bytecode (ast → TAC → CFG → LIR), so it runs end-to-end without the
-missing Clay sources.  Importing :mod:`.language` registers it.
+Unlike the paper's guests — interpreters that *interpret* guest
+bytecode on the LVM — PyLite source is lowered straight to LVM bytecode
+(ast → TAC → CFG → LIR).  Importing :mod:`.language` registers it.
 """

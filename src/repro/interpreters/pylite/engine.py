@@ -1,10 +1,9 @@
 """PyLite engine facade: source → symbolic execution → replayable tests.
 
-Mirrors the MiniPy facade so ``Session``/symtest/service drive it through
-the same :class:`~repro.api.language.GuestLanguage` protocol — but the
-program under test is compiled straight to LVM bytecode by
-:mod:`repro.frontend`, so there is no Clay interpreter in the loop and
-runs work end-to-end out of the box.
+The facade ``Session``/symtest/service drive through the
+:class:`~repro.api.language.GuestLanguage` protocol.  The program under
+test is compiled straight to LVM bytecode by :mod:`repro.frontend`, so
+there is no interpreter in the loop.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """CPython-replay host VM for PyLite (the §6.6 differential oracle).
 
-MiniPy replays tests in a hand-written host interpreter; PyLite gets the
-real thing: the source is ``exec``'d under vanilla CPython with a
-restricted global environment, the symbolic intrinsics replaced by
+Tests replay in the real thing: the source is ``exec``'d under vanilla
+CPython with a restricted global environment, the symbolic intrinsics
+replaced by
 input-buffer readers, and ``print``/``chr`` replaced by wrappers that
 pin down the documented PyLite semantics (observable output is word
 lists; characters are bytes).  A ``sys.settrace`` line tracer collects
@@ -42,7 +42,7 @@ class _BudgetExceeded(BaseException):
 
 @dataclass
 class HostRunResult:
-    """Observable outcome of one replay (mirrors the MiniPy host shape)."""
+    """Observable outcome of one replay."""
 
     output: List[int] = field(default_factory=list)
     exception: Optional[PyLiteHostException] = None

@@ -3,16 +3,15 @@
 This module is the only place the name "pylite" may be special-cased;
 every other consumer goes through ``repro.api.get_language``.  One
 ``register_language`` call is what lights up Session, symtest, parallel
-exploration, checkpointing, the service daemon and the bench harness for
-PyLite source — the registry promise from PR 5.
+exploration, checkpointing and the service daemon for PyLite source.
 """
 
 from __future__ import annotations
 
 from repro.api.language import GuestLanguage, escape_double_quoted, register_language
 
-#: PyLite string literals are double-quoted byte strings with the same
-#: escape discipline as MiniPy (printable ASCII, ``\xNN`` otherwise).
+#: PyLite string literals are double-quoted byte strings: printable
+#: ASCII passes through, everything else becomes ``\xNN``.
 quote_pylite = escape_double_quoted
 
 
@@ -22,19 +21,12 @@ def _engine_factory(source: str, config=None, solver=None):
     return PyLiteEngine(source, config, solver=solver)
 
 
-def _host_vm_factory(source, symbolic_inputs):
-    from repro.interpreters.pylite.hostvm import PyLiteHostVM
-
-    return PyLiteHostVM(source, symbolic_inputs=symbolic_inputs)
-
-
 PYLITE = register_language(
     GuestLanguage(
         name="pylite",
         comment_prefix="#",
         engine_factory=_engine_factory,
         quote_literal=quote_pylite,
-        host_vm_factory=_host_vm_factory,
         description=(
             "Python subset lowered ast → TAC → CFG straight onto the LVM "
             "(no interpreter in the loop)"

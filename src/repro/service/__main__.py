@@ -13,7 +13,7 @@ Example::
 
     python -m repro.service serve --socket /tmp/repro.sock --workers 2 &
     python -m repro.service run --socket /tmp/repro.sock \\
-        --language minipy --file target.py --time-budget 5
+        --language pylite --file target.py --time-budget 5
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The pluggable solver-backend seam.
 
 Every consumer of constraint solving in the engine — fork feasibility in
-the low-level executor, test-case generation in Chef, the dedicated
-NICE-style engine, the symbolic test runner — talks to a
+the low-level executor, test-case generation in Chef, the symbolic
+test runner — talks to a
 :class:`SolverBackend` and hands it a
 :class:`~repro.solver.constraints.ConstraintSet`.  The reproduction ships
 one backend (the CSP solver in :mod:`repro.solver.csp`, the STP stand-in);

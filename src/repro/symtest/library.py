@@ -1,4 +1,4 @@
-"""SymbolicTest: declare symbolic inputs and a MiniPy/MiniLua driver.
+"""SymbolicTest: declare symbolic inputs and a guest-language driver.
 
 The paper's symbolic tests are classes whose ``runTest`` builds symbolic
 inputs through ``getString``/``getInt`` (Fig. 7).  Here the same API
@@ -14,11 +14,6 @@ from typing import List, Optional
 
 from repro.api.language import get_language
 from repro.errors import ReproError
-
-# Back-compat alias: driver codegen now routes through
-# ``GuestLanguage.quote_literal``; the MiniPy quoter lives with the
-# language registration.
-from repro.interpreters.minipy.language import quote_minipy as _quote_minipy
 
 
 @dataclass
@@ -38,10 +33,11 @@ class SymbolicTest:
     Subclasses override :meth:`setUp` (optional) and :meth:`runTest`; both
     may call :meth:`getString` / :meth:`getInt` to declare inputs and
     :meth:`emit` to append driver statements written in the guest
-    language.  ``language`` is "minipy" (default) or "minilua".
+    language.  ``language`` names a registered guest language
+    (default "pylite").
     """
 
-    language = "minipy"
+    language = "pylite"
 
     def __init__(self):
         self.inputs: List[InputSpec] = []
@@ -107,7 +103,7 @@ class SimpleSymbolicTest(SymbolicTest):
     tuples; ``body`` is guest source using those names.
     """
 
-    def __init__(self, inputs: List[tuple], body: str, language: str = "minipy"):
+    def __init__(self, inputs: List[tuple], body: str, language: str = "pylite"):
         super().__init__()
         self.language = language
         self._spec_inputs = inputs

@@ -1,28 +1,12 @@
-"""Testing targets: the reproduction's analogue of the paper's 11 packages.
+"""Testing targets: little libraries written in the guest language.
 
-Each target is a real little library written *in the guest language*
-(MiniPy, MiniLua or PyLite) with the same role, input-dependent control
-flow and observable behaviours as the package evaluated in the paper —
-including the seeded Lua JSON comment hang (§6.2) and mini-xlrd's four
-undocumented exception types (Table 3).  The three PyLite targets are the
-frontend scenario pack; they compile straight to the LVM and run
-end-to-end.
+Each target plays the role of one of the paper's evaluated packages
+(Table 3): real guest source with input-dependent control flow and a
+documented exception set.  The built-in targets are the PyLite scenario
+pack (a parser, a state machine and a codec); they compile straight to
+the LVM and run end-to-end.
 """
 
-from repro.targets.registry import (
-    TargetPackage,
-    all_targets,
-    lua_targets,
-    pylite_targets,
-    python_targets,
-    target_by_name,
-)
+from repro.targets.registry import TargetPackage, all_targets, target_by_name
 
-__all__ = [
-    "TargetPackage",
-    "all_targets",
-    "lua_targets",
-    "pylite_targets",
-    "python_targets",
-    "target_by_name",
-]
+__all__ = ["TargetPackage", "all_targets", "target_by_name"]

@@ -1,4 +1,4 @@
-"""Registry of the testing targets (11 Table 3 rows + the PyLite pack).
+"""Registry of the testing targets: the PyLite scenario pack.
 
 The *documented* exception classification follows the paper exactly
 (§6.2): an exception is documented if the package's documentation names
@@ -8,14 +8,12 @@ TypeError.  Anything else (including IndexError) counts as undocumented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.api.language import get_language
 from repro.symtest.library import SimpleSymbolicTest
-from repro.targets import minilua_packages as LUA
-from repro.targets import minipy_packages as PY
 from repro.targets import pylite_packages as PL
 
 #: stdlib exceptions the paper treats as always-documented.
@@ -24,7 +22,7 @@ COMMON_DOCUMENTED = frozenset({"KeyError", "ValueError", "TypeError"})
 
 @dataclass(frozen=True)
 class TargetPackage:
-    """One evaluation target (a row of Table 3)."""
+    """One evaluation target (a package row in the paper's Table 3 shape)."""
 
     name: str
     language: str          # a registered guest language name
@@ -55,129 +53,8 @@ class TargetPackage:
 
 
 @lru_cache(maxsize=None)
-def _python_targets() -> Tuple[TargetPackage, ...]:
-    return (
-        TargetPackage(
-            name="argparse",
-            language="minipy",
-            ptype="System",
-            description="Command-line interface",
-            source=PY.ARGPARSE_SOURCE,
-            test_inputs=tuple(PY.ARGPARSE_TEST["inputs"]),
-            test_body=PY.ARGPARSE_TEST["body"],
-            documented_exceptions=frozenset({"ArgumentError"}),
-        ),
-        TargetPackage(
-            name="ConfigParser",
-            language="minipy",
-            ptype="System",
-            description="Configuration file parser",
-            source=PY.CONFIGPARSER_SOURCE,
-            test_inputs=tuple(PY.CONFIGPARSER_TEST["inputs"]),
-            test_body=PY.CONFIGPARSER_TEST["body"],
-            documented_exceptions=frozenset({"ParsingError"}),
-        ),
-        TargetPackage(
-            name="HTMLParser",
-            language="minipy",
-            ptype="Web",
-            description="HTML parser",
-            source=PY.HTMLPARSER_SOURCE,
-            test_inputs=tuple(PY.HTMLPARSER_TEST["inputs"]),
-            test_body=PY.HTMLPARSER_TEST["body"],
-            documented_exceptions=frozenset({"HTMLParseError"}),
-        ),
-        TargetPackage(
-            name="simplejson",
-            language="minipy",
-            ptype="Web",
-            description="JSON format parser",
-            source=PY.SIMPLEJSON_SOURCE,
-            test_inputs=tuple(PY.SIMPLEJSON_TEST["inputs"]),
-            test_body=PY.SIMPLEJSON_TEST["body"],
-            documented_exceptions=frozenset({"JSONDecodeError"}),
-        ),
-        TargetPackage(
-            name="unicodecsv",
-            language="minipy",
-            ptype="Office",
-            description="CSV file parser",
-            source=PY.UNICODECSV_SOURCE,
-            test_inputs=tuple(PY.UNICODECSV_TEST["inputs"]),
-            test_body=PY.UNICODECSV_TEST["body"],
-            documented_exceptions=frozenset({"CSVError"}),
-        ),
-        TargetPackage(
-            name="xlrd",
-            language="minipy",
-            ptype="Office",
-            description="Microsoft Excel reader",
-            source=PY.XLRD_SOURCE,
-            test_inputs=tuple(PY.XLRD_TEST["inputs"]),
-            test_body=PY.XLRD_TEST["body"],
-            documented_exceptions=frozenset({"XLRDError"}),
-        ),
-    )
-
-
-@lru_cache(maxsize=None)
-def _lua_targets() -> Tuple[TargetPackage, ...]:
-    return (
-        TargetPackage(
-            name="cliargs",
-            language="minilua",
-            ptype="System",
-            description="Command-line interface",
-            source=LUA.CLIARGS_SOURCE,
-            test_inputs=tuple(LUA.CLIARGS_TEST["inputs"]),
-            test_body=LUA.CLIARGS_TEST["body"],
-        ),
-        TargetPackage(
-            name="haml",
-            language="minilua",
-            ptype="Web",
-            description="HTML description markup",
-            source=LUA.HAML_SOURCE,
-            test_inputs=tuple(LUA.HAML_TEST["inputs"]),
-            test_body=LUA.HAML_TEST["body"],
-        ),
-        TargetPackage(
-            name="JSON",
-            language="minilua",
-            ptype="Web",
-            description="JSON format parser",
-            source=LUA.JSON_SOURCE,
-            test_inputs=tuple(LUA.JSON_TEST["inputs"]),
-            test_body=LUA.JSON_TEST["body"],
-        ),
-        TargetPackage(
-            name="markdown",
-            language="minilua",
-            ptype="Web",
-            description="Text-to-HTML conversion",
-            source=LUA.MARKDOWN_SOURCE,
-            test_inputs=tuple(LUA.MARKDOWN_TEST["inputs"]),
-            test_body=LUA.MARKDOWN_TEST["body"],
-        ),
-        TargetPackage(
-            name="moonscript",
-            language="minilua",
-            ptype="System",
-            description="Language that compiles to Lua",
-            source=LUA.MOONSCRIPT_SOURCE,
-            test_inputs=tuple(LUA.MOONSCRIPT_TEST["inputs"]),
-            test_body=LUA.MOONSCRIPT_TEST["body"],
-        ),
-    )
-
-
-@lru_cache(maxsize=None)
-def _pylite_targets() -> Tuple[TargetPackage, ...]:
-    """The frontend scenario pack: parser / state machine / codec.
-
-    Unlike the Table 3 rows these run end-to-end today — PyLite compiles
-    straight to the LVM, so no Clay sources are needed.
-    """
+def _targets() -> Tuple[TargetPackage, ...]:
+    """The frontend scenario pack: parser / state machine / codec."""
     return (
         TargetPackage(
             name="parseint",
@@ -212,26 +89,11 @@ def _pylite_targets() -> Tuple[TargetPackage, ...]:
 
 @lru_cache(maxsize=None)
 def _target_index() -> Dict[str, TargetPackage]:
-    return {
-        target.name: target
-        for target in _python_targets() + _lua_targets() + _pylite_targets()
-    }
-
-
-def python_targets() -> List[TargetPackage]:
-    return list(_python_targets())
-
-
-def lua_targets() -> List[TargetPackage]:
-    return list(_lua_targets())
-
-
-def pylite_targets() -> List[TargetPackage]:
-    return list(_pylite_targets())
+    return {target.name: target for target in _targets()}
 
 
 def all_targets() -> List[TargetPackage]:
-    return list(_python_targets() + _lua_targets() + _pylite_targets())
+    return list(_targets())
 
 
 def target_by_name(name: str) -> TargetPackage:

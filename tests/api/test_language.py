@@ -6,6 +6,7 @@ from repro.api.language import (
     GuestLanguage,
     UnknownLanguageError,
     _REGISTRY,
+    escape_double_quoted,
     get_language,
     languages,
     register_language,
@@ -29,34 +30,32 @@ ROUND_TRIP_CASES = [
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert languages() == ["minilua", "minipy", "pylite"]
+        assert languages() == ["pylite"]
 
     def test_get_language_comment_prefixes(self):
-        assert get_language("minipy").comment_prefix == "#"
-        assert get_language("minilua").comment_prefix == "--"
         assert get_language("pylite").comment_prefix == "#"
 
     def test_get_language_passthrough(self):
-        lang = get_language("minipy")
+        lang = get_language("pylite")
         assert get_language(lang) is lang
 
     def test_unknown_language_error_lists_known(self):
         with pytest.raises(UnknownLanguageError) as exc:
             get_language("ruby")
-        # All three builtins, quoted, in sorted order.
-        assert "'minilua', 'minipy', 'pylite'" in str(exc.value)
+        # Every registered language, quoted.
+        assert "registered languages: 'pylite'" in str(exc.value)
 
     def test_unknown_language_error_is_repro_error(self):
         with pytest.raises(ReproError):
             get_language("ruby")
 
     def test_reregistering_same_object_is_noop(self):
-        lang = get_language("minipy")
+        lang = get_language("pylite")
         assert register_language(lang) is lang
 
     def test_registering_conflicting_name_rejected(self):
         impostor = GuestLanguage(
-            name="minipy",
+            name="pylite",
             comment_prefix=";",
             engine_factory=lambda *a: None,
             quote_literal=repr,
@@ -64,7 +63,7 @@ class TestRegistry:
         with pytest.raises(ReproError):
             register_language(impostor)
         # ...and the registry stays usable afterwards.
-        assert languages() == ["minilua", "minipy", "pylite"]
+        assert languages() == ["pylite"]
 
     def test_conflict_detected_even_before_first_lookup(self):
         # Regression: registering an impostor under a builtin name
@@ -77,24 +76,20 @@ class TestRegistry:
         from repro.api import language as language_module
 
         saved_registry = dict(_REGISTRY)
-        module_names = [
-            "repro.interpreters.minipy.language",
-            "repro.interpreters.minilua.language",
-            "repro.interpreters.pylite.language",
-        ]
+        module_names = ["repro.interpreters.pylite.language"]
         saved_modules = {n: sys.modules.pop(n) for n in module_names if n in sys.modules}
         _REGISTRY.clear()
         language_module._builtins_loaded = False
         try:
             impostor = GuestLanguage(
-                name="minilua",
+                name="pylite",
                 comment_prefix=";",
                 engine_factory=lambda *a: None,
                 quote_literal=repr,
             )
             with pytest.raises(ReproError):
                 register_language(impostor)
-            assert languages() == ["minilua", "minipy", "pylite"]
+            assert languages() == ["pylite"]
         finally:
             _REGISTRY.clear()
             _REGISTRY.update(saved_registry)
@@ -118,28 +113,20 @@ class TestRegistry:
         finally:
             del _REGISTRY["toylang"]
 
-    def test_host_vm_optional(self):
-        toy = GuestLanguage(
-            name="no-vm",
-            comment_prefix="#",
-            engine_factory=lambda *a: None,
-            quote_literal=repr,
-        )
-        with pytest.raises(ReproError):
-            toy.host_vm(None, [])
-
 
 class TestQuoting:
+    # MiniPy and MiniLua register no language; the double-quoted
+    # escaper is the quoter both used, and their lexers must read it back.
     @pytest.mark.parametrize("text", ROUND_TRIP_CASES)
     def test_minipy_literal_round_trips_through_lexer(self, text):
-        literal = get_language("minipy").quote_literal(text)
+        literal = escape_double_quoted(text)
         tokens = tokenize(f"x = {literal}\n")
         values = [t.value for t in tokens if t.kind == "str"]
         assert values == [text]
 
     @pytest.mark.parametrize("text", ROUND_TRIP_CASES)
     def test_minilua_literal_round_trips_through_lexer(self, text):
-        literal = get_language("minilua").quote_literal(text)
+        literal = escape_double_quoted(text)
         tokens = tokenize_lua(f"x = {literal}\n")
         values = [t.value for t in tokens if t.kind == "str"]
         assert values == [text]
@@ -154,6 +141,4 @@ class TestQuoting:
         assert ast.literal_eval(literal) == text
 
     def test_loc_uses_language_comment_prefix(self):
-        assert get_language("minipy").loc("a = 1\n# c\nb = 2\n") == 2
-        assert get_language("minilua").loc("x = 1\n-- c\ny = 2\n") == 2
         assert get_language("pylite").loc("a = 1\n# c\n\nb = 2\n") == 2

@@ -70,11 +70,11 @@ class TestNoStringDispatch:
 
     def test_guard_actually_detects_the_pattern(self):
         # The lint must not be vacuous: feed it the forbidden shape.
-        tree = ast.parse("if package.language == 'minipy':\n    pass\n")
+        tree = ast.parse("if package.language == 'pylite':\n    pass\n")
         assert list(_string_dispatch_sites(tree)) == [1]
         tree = ast.parse("ok = language in ('a', 'b')\n")
         assert list(_string_dispatch_sites(tree)) == [1]
-        tree = ast.parse("if kind == 'minipy':\n    pass\n")
+        tree = ast.parse("if kind == 'pylite':\n    pass\n")
         assert list(_string_dispatch_sites(tree)) == []
 
     def test_registration_modules_exist_for_every_language(self):

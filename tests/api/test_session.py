@@ -18,8 +18,6 @@ from repro.chef.options import ChefConfig
 from repro.clay import compile_program
 from repro.errors import ReproError
 
-from tests.conftest import requires_clay
-
 
 def _program(n=3):
     return compile_program(traced_source(n)).program
@@ -173,46 +171,3 @@ class TestEventStreamDeterminism:
         assert serial.ll_paths == parallel.ll_paths == 16
         assert serial.hl_paths == parallel.hl_paths
 
-
-@requires_clay
-class TestLanguageSessions:
-    """Session(language, source) parity with the legacy engine facades.
-
-    Skipped until the Clay interpreter sources land (seed gap)."""
-
-    _SOURCE = (
-        "def check(s):\n"
-        "    if s.find(\"@\") < 1:\n"
-        "        raise ValueError(\"bad\")\n"
-        "    return 1\n"
-        "\n"
-        "data = sym_string(\"\\x00\\x00\\x00\")\n"
-        "print(check(data))\n"
-    )
-
-    @staticmethod
-    def _case_set(result):
-        return {
-            (
-                tuple(sorted((k, tuple(v)) for k, v in case.inputs.items())),
-                case.status,
-                tuple(case.output),
-            )
-            for case in result.suite
-        }
-
-    def test_minipy_session_reproduces_engine_results(self):
-        from repro.interpreters.minipy.engine import MiniPyEngine
-
-        config = ChefConfig(strategy="cupa-path", seed=0, time_budget=5.0)
-        legacy = MiniPyEngine(self._SOURCE, config).run()
-        session = Session("minipy", self._SOURCE, config)
-        result = session.run()
-        assert self._case_set(result) == self._case_set(legacy)
-        for case in result.hl_test_cases:
-            assert session.replay(case).output == case.output
-
-    def test_minilua_session_runs(self):
-        session = Session("minilua", "print(1 + 1)", ChefConfig(time_budget=10.0))
-        result = session.run()
-        assert result.suite.cases[0].output == [1, 2]

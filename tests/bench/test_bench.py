@@ -1,72 +1,13 @@
-"""Bench harness, effort counting and reporting unit tests."""
+"""Bench settings and reporting unit tests."""
 
-from repro.bench.effort import effort_table
-from repro.bench.harness import (
-    PAPER_CONFIGS,
-    BenchSettings,
-    PackageRun,
-    aggregate,
-    run_package,
-)
-from repro.bench.reporting import (
-    fig8_rows,
-    fig10_series,
-    fig11_rows,
-    fig12_rows,
-    render_table,
-)
-from repro.chef.options import InterpreterBuildOptions
-from repro.targets import target_by_name
-
-from tests.conftest import requires_clay
+from repro.bench.harness import BenchSettings
+from repro.bench.reporting import render_table
 
 
 class TestHarness:
-    def test_paper_configs_complete(self):
-        assert set(PAPER_CONFIGS) == {
-            "CUPA + Optimizations", "Optimizations Only", "CUPA Only", "Baseline",
-        }
-        strategy, options = PAPER_CONFIGS["Baseline"]
-        assert strategy == "random"
-        assert options == InterpreterBuildOptions.vanilla()
-
-    @requires_clay
-    def test_run_package_summary(self):
-        target = target_by_name("unicodecsv")
-        run = run_package(
-            target, "cupa-path", InterpreterBuildOptions.full(),
-            budget=1.0, seed=0, config_name="cfg",
-        )
-        assert run.package == "unicodecsv"
-        assert run.hl_paths >= 1
-        assert run.ll_paths >= run.hl_paths
-        assert 0.0 <= run.coverage <= 1.0
-        assert run.timeline
-
-    def test_aggregate_means(self):
-        runs = [
-            PackageRun("p", "minipy", "c", 0, hl_paths=2, ll_paths=4, coverage=0.5),
-            PackageRun("p", "minipy", "c", 1, hl_paths=4, ll_paths=8, coverage=0.7),
-        ]
-        cell = aggregate(runs, "p", "c")
-        assert cell["hl"] == 3.0
-        assert abs(cell["coverage"] - 0.6) < 1e-9
-
     def test_settings_env_defaults(self):
         settings = BenchSettings()
         assert settings.budget > 0
-        assert settings.seeds >= 1
-
-
-@requires_clay
-class TestEffort:
-    def test_rows_shape(self):
-        rows = {r.language: r for r in effort_table()}
-        assert rows["Python"].core_loc > 0
-        assert rows["Python"].hlpc_loc > 0
-        assert rows["Python"].optimization_loc > rows["Python"].hlpc_loc
-        assert rows["Lua"].native_loc >= 0
-        assert rows["Python"].instrumented_fraction(rows["Python"].hlpc_loc) < 5.0
 
 
 class TestReporting:
@@ -75,32 +16,3 @@ class TestReporting:
         lines = text.split("\n")
         assert len(lines) == 4
         assert len(set(len(l) for l in lines)) == 1  # fixed width
-
-    def test_fig8_rows_relative_to_baseline(self):
-        runs = [
-            PackageRun("p", "minipy", "Baseline", 0, hl_paths=2, ll_paths=2, coverage=0),
-            PackageRun("p", "minipy", "CUPA + Optimizations", 0, hl_paths=8, ll_paths=8, coverage=0),
-        ]
-        rows = fig8_rows(runs, ["p"], ["CUPA + Optimizations", "Baseline"])
-        assert "4.00x" in rows[0][1]
-
-    def test_fig10_series_buckets(self):
-        runs = [
-            PackageRun(
-                "p", "minipy", "Baseline", 0, hl_paths=2, ll_paths=4, coverage=0,
-                duration=1.0, timeline=[(0.1, 1, 2), (0.9, 2, 4)],
-            )
-        ]
-        series = fig10_series(runs, "minipy", ["Baseline"], buckets=2)
-        assert series["Baseline"][0] == 0.5
-        assert series["Baseline"][1] == 0.5
-
-    def test_fig11_rows_percentages(self):
-        rows = fig11_rows({"p": {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}}, {})
-        assert rows[0][1].strip() == "25.0%"
-        assert rows[0][4].strip() == "100.0%"
-
-    def test_fig12_rows(self):
-        rows = fig12_rows({1: {0: 100.0, 1: 10.0}}, {0: "a", 1: "b"})
-        assert rows[0][0] == 1
-        assert "100.0x" in rows[0][1]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.chef import Chef, ChefConfig
-from repro.chef.options import InterpreterBuildOptions
 from repro.clay import compile_program
 
 # A toy "interpreter": reports one HLPC per input cell, with a high-level
@@ -85,26 +84,3 @@ class TestEngineLoop:
         with pytest.raises(ValueError):
             _run(strategy="nope")
 
-
-class TestOptions:
-    def test_cumulative_builds(self):
-        assert InterpreterBuildOptions.cumulative(0) == InterpreterBuildOptions.vanilla()
-        assert InterpreterBuildOptions.cumulative(3) == InterpreterBuildOptions.full()
-        level1 = InterpreterBuildOptions.cumulative(1)
-        assert level1.symbolic_pointer_avoidance
-        assert not level1.hash_neutralization
-
-    def test_cumulative_range_checked(self):
-        with pytest.raises(ValueError):
-            InterpreterBuildOptions.cumulative(4)
-
-    def test_flag_words(self):
-        flags = InterpreterBuildOptions.full().as_flag_words()
-        assert flags == {
-            "opt_symptr": 1, "opt_hash_neutral": 1, "opt_fastpath_elim": 1,
-        }
-
-    def test_with_override(self):
-        opts = InterpreterBuildOptions.full().with_(hash_neutralization=False)
-        assert not opts.hash_neutralization
-        assert opts.symbolic_pointer_avoidance

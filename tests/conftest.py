@@ -14,16 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.interpreters import clay_sources_available
 from repro.lowlevel.expr import Sym, clear_intern_cache
-
-#: Mark for tests that execute a guest interpreter end-to-end; the seed
-#: snapshot lacks the Clay interpreter sources (ROADMAP open item), so
-#: these skip with a visible reason instead of failing on missing files.
-requires_clay = pytest.mark.skipif(
-    not clay_sources_available(),
-    reason="interpreter Clay sources are not in the tree (seed gap; see ROADMAP)",
-)
 
 
 @pytest.fixture(autouse=True)

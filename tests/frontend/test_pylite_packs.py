@@ -10,7 +10,7 @@ import pytest
 
 from repro.chef.options import ChefConfig
 from repro.symtest.runner import SymbolicTestRunner
-from repro.targets import pylite_targets
+from repro.targets import all_targets, target_by_name
 
 
 def _multiset(suite):
@@ -34,7 +34,7 @@ def _run(target, workers):
     return runner, runner.run_symbolic()
 
 
-@pytest.mark.parametrize("target", pylite_targets(), ids=lambda t: t.name)
+@pytest.mark.parametrize("target", all_targets(), ids=lambda t: t.name)
 class TestScenarioPacks:
     def test_differential_replay_all_cases(self, target):
         runner, result = _run(target, workers=1)
@@ -52,14 +52,14 @@ class TestScenarioPacks:
 
 class TestPackFindings:
     def test_parseint_finds_the_documented_valueerror(self):
-        runner, result = _run(pylite_targets()[0], workers=1)
+        runner, result = _run(target_by_name("parseint"), workers=1)
         names = {
             runner.engine.exception_name(t) for t in result.suite.exceptions()
         }
         assert "ValueError" in names
 
     def test_turnstile_raises_only_documented_exceptions(self):
-        target = next(t for t in pylite_targets() if t.name == "turnstile")
+        target = target_by_name("turnstile")
         runner, result = _run(target, workers=1)
         names = {
             runner.engine.exception_name(t) for t in result.suite.exceptions()
@@ -68,7 +68,7 @@ class TestPackFindings:
         assert all(target.is_documented(n) for n in names), names
 
     def test_rle_roundtrip_assertion_never_fires(self):
-        target = next(t for t in pylite_targets() if t.name == "rle")
+        target = target_by_name("rle")
         runner, result = _run(target, workers=1)
         names = {
             runner.engine.exception_name(t) for t in result.suite.exceptions()

@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from repro.api.language import languages
 from repro.service.client import ServiceError
 
 SOURCE = (
@@ -86,5 +87,6 @@ class TestCli:
         proc = self._cli("run", "--help", timeout=60.0)
         assert proc.returncode == 0
         help_text = proc.stdout
-        for name in ("minilua", "minipy", "pylite"):
+        assert languages() == ["pylite"]
+        for name in languages():
             assert name in help_text

@@ -6,11 +6,8 @@ from repro.chef.options import ChefConfig
 from repro.errors import ReproError
 from repro.symtest import SymbolicTest, SymbolicTestRunner
 from repro.symtest.coverage import count_loc, coverage_percent, merge_coverage
-from repro.interpreters.minilua.language import quote_minilua
-from repro.interpreters.minipy.language import quote_minipy
-from repro.symtest.library import SimpleSymbolicTest, _quote_minipy
-
-from tests.conftest import requires_clay
+from repro.symtest.library import SimpleSymbolicTest
+from repro.targets import target_by_name
 
 
 class ArgparseStyleTest(SymbolicTest):
@@ -63,25 +60,33 @@ class TestSymbolicTestApi:
             Empty().build_driver()
 
     def test_quoting_non_printable(self):
-        assert _quote_minipy("\x00a\"\\") == '"\\x00a\\"\\\\"'
-        assert _quote_minipy is quote_minipy  # codegen routes through the language
-
-    def test_minilua_driver_quotes_through_guest_language(self):
-        # Regression: getString used to quote every language with the
-        # MiniPy quoter; the driver now asks GuestLanguage.quote_literal.
-        seed = 'a"b\\c\x00'
-        test = SimpleSymbolicTest([("str", "s", seed)], "print(s)", language="minilua")
-        driver = test.build_driver()
-        assert f"s = sym_string({quote_minilua(seed)})" in driver
+        test = SimpleSymbolicTest([("str", "s", "\x00a\"\\")], "print(s)")
+        assert 's = sym_string("\\x00a\\"\\\\")' in test.build_driver()
 
     def test_minilua_quoted_string_round_trips(self):
         # Quotes and backslashes in MiniLua seeds must survive the
         # frontend lexer byte-for-byte.
+        from repro.api.language import escape_double_quoted
         from repro.interpreters.minilua.frontend import tokenize_lua
 
         for seed in ['a"b', "back\\slash", '\\"mix\\\\"', "\x00\x7f\xff"]:
-            tokens = tokenize_lua(f"s = sym_string({quote_minilua(seed)})\n")
+            tokens = tokenize_lua(f"s = sym_string({escape_double_quoted(seed)})\n")
             assert [t.value for t in tokens if t.kind == "str"] == [seed]
+
+    def test_default_language_is_pylite(self):
+        # The default guest is one that runs: a test built without
+        # language= explores the parseint pack over its 2-byte input to
+        # the exact path count.  First byte: sign, digit, or a non-digit
+        # below/above the digits (raises).  After a sign or a digit the
+        # second byte splits the same three ways: 2 * 3 + 2 = 8.
+        target = target_by_name("parseint")
+        test = SimpleSymbolicTest(list(target.test_inputs), target.test_body)
+        assert test.language == "pylite"
+        runner = SymbolicTestRunner(
+            target.source, test, ChefConfig(time_budget=60.0)
+        )
+        result = runner.run_symbolic()
+        assert result.hl_paths == 8
 
     def test_unknown_language_rejected(self):
         test = SimpleSymbolicTest([("str", "s", "x")], "print(s)", language="ruby")
@@ -100,11 +105,10 @@ def is_vowel(c):
 """
 
 
-@requires_clay
 class TestRunner:
     def _runner(self, budget=5.0):
         test = SimpleSymbolicTest(
-            [("str", "letter", "\x00")],
+            [("str", "letter", "x")],
             "if is_vowel(letter):\n    print(1)\nelse:\n    print(0)",
         )
         config = ChefConfig(strategy="cupa-path", seed=0, time_budget=budget)
@@ -114,8 +118,9 @@ class TestRunner:
         runner = self._runner()
         result = runner.run_symbolic()
         outputs = {tuple(c.output) for c in result.hl_test_cases}
-        assert (1, 1) in outputs  # a vowel
-        assert (1, 0) in outputs  # not a vowel
+        # print() emits the value, then a newline word.
+        assert (1, 10) in outputs  # a vowel
+        assert (0, 10) in outputs  # not a vowel
 
     def test_run_symbolic_twice_reuses_compiled_engine(self):
         # Re-running builds a fresh session over the *same* engine —

@@ -1,38 +1,15 @@
-"""Unit tests of the target packages themselves, run on the host VMs.
+"""Unit tests of the target packages themselves, run under CPython.
 
-These test the *libraries* (parsers and tools written in MiniPy, MiniLua
-and PyLite), independent of symbolic execution — the same way a
-downstream user of those packages would.
+These test the *libraries* (the PyLite scenario pack), independent of
+symbolic execution — the same way a downstream user of those packages
+would.
 """
 
 import pytest
 
-from repro.interpreters.minilua.compiler import compile_lua
-from repro.interpreters.minilua.hostvm import LuaHostVM
-from repro.interpreters.minipy.compiler import compile_source
-from repro.interpreters.minipy.hostvm import HostVM
 from repro.interpreters.pylite.hostvm import PyLiteHostVM
-from repro.targets import (
-    all_targets,
-    lua_targets,
-    pylite_targets,
-    python_targets,
-    target_by_name,
-)
-from repro.targets import minilua_packages as LUA
-from repro.targets import minipy_packages as PY
+from repro.targets import all_targets, target_by_name
 from repro.targets import pylite_packages as PL
-from repro.targets.mac_controller import CONTROLLER_SOURCE, driver_source
-
-
-def run_py(package_source, driver):
-    vm = HostVM(compile_source(package_source + "\n" + driver))
-    return vm.run()
-
-
-def run_lua(package_source, driver):
-    vm = LuaHostVM(compile_lua(package_source + "\n" + driver))
-    return vm.run()
 
 
 def run_pylite(package_source, driver):
@@ -42,13 +19,10 @@ def run_pylite(package_source, driver):
 
 class TestRegistry:
     def test_target_counts(self):
-        # 11 Table 3 rows plus the 3-package PyLite scenario pack.
-        assert len(python_targets()) == 6
-        assert len(lua_targets()) == 5
-        assert len(pylite_targets()) == 3
+        # The PyLite scenario pack: parser, state machine, codec.
+        assert [t.name for t in all_targets()] == ["parseint", "turnstile", "rle"]
 
     def test_lookup_by_name(self):
-        assert target_by_name("xlrd").language == "minipy"
         assert target_by_name("rle").language == "pylite"
         with pytest.raises(KeyError):
             target_by_name("nonexistent")
@@ -56,247 +30,37 @@ class TestRegistry:
     def test_lookup_is_memoized(self):
         # target_by_name used to rebuild every TargetPackage per call;
         # the registry is now built once and indexed by name.
-        assert target_by_name("xlrd") is target_by_name("xlrd")
-        assert target_by_name("haml") in all_targets()
+        assert target_by_name("rle") is target_by_name("rle")
+        assert target_by_name("turnstile") in all_targets()
         assert all_targets()[0] is all_targets()[0]
 
     def test_all_targets_returns_fresh_list(self):
         targets = all_targets()
         targets.clear()
-        assert len(all_targets()) == 14
+        assert len(all_targets()) == 3
 
     def test_loc_positive(self):
-        # Table 3 rows are real little libraries; the PyLite scenario
-        # pack is deliberately smaller (frontend smoke fodder).
-        floors = {"pylite": 15}
         for target in all_targets():
-            assert target.loc() > floors.get(target.language, 20), target.name
+            assert target.loc() > 15, target.name
 
     def test_loc_comment_prefix_comes_from_guest_language(self):
         from repro.symtest.coverage import count_loc
 
-        assert target_by_name("xlrd").guest_language().comment_prefix == "#"
-        assert target_by_name("haml").guest_language().comment_prefix == "--"
-        haml = target_by_name("haml")
-        assert haml.loc() == count_loc(haml.source, comment_prefix="--")
+        rle = target_by_name("rle")
+        assert rle.guest_language().comment_prefix == "#"
+        assert rle.loc() == count_loc(rle.source, comment_prefix="#")
 
     def test_documented_classification(self):
-        xlrd = target_by_name("xlrd")
-        assert xlrd.is_documented("XLRDError")
-        assert xlrd.is_documented("ValueError")  # common stdlib
-        assert not xlrd.is_documented("BadZipfile")
-        assert not xlrd.is_documented("IndexError")  # per the paper
+        turnstile = target_by_name("turnstile")
+        assert turnstile.is_documented("RuntimeError")
+        assert turnstile.is_documented("ValueError")  # common stdlib
+        assert not turnstile.is_documented("AssertionError")
+        assert not turnstile.is_documented("IndexError")  # per the paper
 
     def test_symbolic_tests_build(self):
         for target in all_targets():
             driver = target.symbolic_test().build_driver()
             assert "sym_" in driver
-
-
-class TestArgparse:
-    def test_flag_with_value(self):
-        r = run_py(PY.ARGPARSE_SOURCE, """
-p = make_parser()
-add_argument(p, "--verbose")
-args = parse_args(p, ["--verbose", "yes"])
-print(args["verbose"])
-""")
-        assert r.exception is None
-        assert r.output[2:] == [ord(c) for c in "yes"]
-
-    def test_flag_equals_syntax_and_prefix_match(self):
-        r = run_py(PY.ARGPARSE_SOURCE, """
-p = make_parser()
-add_argument(p, "--output")
-args = parse_args(p, ["--out=x"])
-print(args["output"])
-""")
-        assert r.exception is None
-
-    def test_typed_positional(self):
-        r = run_py(PY.ARGPARSE_SOURCE, """
-p = make_parser()
-add_argument(p, "#count")
-args = parse_args(p, ["42"])
-print(args["count"] + 1)
-""")
-        assert r.output == [1, 43]
-
-    def test_unknown_flag_raises_keyerror(self):
-        r = run_py(PY.ARGPARSE_SOURCE, """
-p = make_parser()
-args = parse_args(p, ["--nope"])
-""")
-        assert r.exception.name == "KeyError"
-
-    def test_missing_positional(self):
-        r = run_py(PY.ARGPARSE_SOURCE, """
-p = make_parser()
-add_argument(p, "name")
-args = parse_args(p, [])
-""")
-        assert r.exception.name == "ArgumentError"
-
-
-class TestConfigParser:
-    def test_sections_and_options(self):
-        r = run_py(PY.CONFIGPARSER_SOURCE, r"""
-conf = parse_config("[db]\nHost = local\n; comment\n[web]\nport=80")
-print(get_option(conf, "db", "HOST"))
-print(get_option(conf, "web", "port"))
-""")
-        assert r.exception is None
-
-    def test_option_before_section(self):
-        r = run_py(PY.CONFIGPARSER_SOURCE, 'parse_config("a=1")')
-        assert r.exception.name == "ParsingError"
-
-    def test_unterminated_header(self):
-        r = run_py(PY.CONFIGPARSER_SOURCE, 'parse_config("[oops")')
-        assert r.exception.name == "ParsingError"
-
-
-class TestHtmlParser:
-    def test_balanced_document(self):
-        r = run_py(PY.HTMLPARSER_SOURCE, """
-events = parse_html("<p>hi &amp; bye</p>")
-print(len(events))
-""")
-        assert r.exception is None
-        assert r.output == [1, 3]
-
-    def test_mismatched_close(self):
-        r = run_py(PY.HTMLPARSER_SOURCE, 'parse_html("<a></b>")')
-        assert r.exception.name == "HTMLParseError"
-
-    def test_unknown_entity(self):
-        r = run_py(PY.HTMLPARSER_SOURCE, 'parse_html("&bogus;")')
-        assert r.exception.name == "HTMLParseError"
-
-
-class TestSimpleJson:
-    def test_nested_document(self):
-        r = run_py(PY.SIMPLEJSON_SOURCE, """
-v = loads('{"a": [1, -2, true], "b": null}')
-print(len(v))
-print(v["a"][1])
-""")
-        assert r.exception is None
-        assert r.output == [1, 2, 1, -2]
-
-    def test_string_escapes(self):
-        r = run_py(PY.SIMPLEJSON_SOURCE, r"""
-v = loads('"a\nb"')
-print(len(v))
-""")
-        assert r.output == [1, 3]
-
-    def test_trailing_data_rejected(self):
-        r = run_py(PY.SIMPLEJSON_SOURCE, 'loads("1 x")')
-        assert r.exception.name == "JSONDecodeError"
-
-    def test_invalid_escape_is_valueerror(self):
-        r = run_py(PY.SIMPLEJSON_SOURCE, 'loads(\'"a\' + chr(92) + \'qb"\')')
-        assert r.exception.name == "ValueError"
-
-    def test_depth_limit(self):
-        r = run_py(PY.SIMPLEJSON_SOURCE, 'loads("[[[[[[[[1]]]]]]]]")')
-        assert r.exception.name == "JSONDecodeError"
-
-
-class TestUnicodeCsv:
-    def test_quoted_fields(self):
-        r = run_py(PY.UNICODECSV_SOURCE, """
-rows = parse_csv('a,"b,c"\\nd,e')
-print(len(rows))
-print(rows[0][1])
-""")
-        assert r.exception is None
-        assert r.output[:2] == [1, 2]
-
-    def test_unterminated_quote(self):
-        r = run_py(PY.UNICODECSV_SOURCE, 'parse_csv(\'"oops\')')
-        assert r.exception.name == "CSVError"
-
-    def test_ragged_rows_rejected(self):
-        r = run_py(PY.UNICODECSV_SOURCE, 'parse_csv("a,b\\nc")')
-        assert r.exception.name == "CSVError"
-
-
-class TestXlrd:
-    def test_valid_workbook(self):
-        r = run_py(PY.XLRD_SOURCE, r"""
-book = open_workbook("BF\x01\x02ab\x02\x02\x05\x00\x09\x00")
-print(len(book["sheets"]))
-print(book["cells"])
-""")
-        assert r.exception is None
-        assert r.output == [1, 1, 1, 5]
-
-    def test_zip_magic_raises_badzipfile(self):
-        r = run_py(PY.XLRD_SOURCE, 'open_workbook("PK\\x01\\x02")')
-        assert r.exception.name == "BadZipfile"
-
-    def test_bad_magic(self):
-        r = run_py(PY.XLRD_SOURCE, 'open_workbook("XX")')
-        assert r.exception.name == "XLRDError"
-
-    def test_unknown_record_type_raises_error(self):
-        r = run_py(PY.XLRD_SOURCE, 'open_workbook("BF\\xff\\x00")')
-        assert r.exception.name == "error"
-
-    def test_truncated_record_raises_indexerror(self):
-        r = run_py(PY.XLRD_SOURCE, 'open_workbook("BF\\x01")')
-        assert r.exception.name == "IndexError"
-
-
-class TestLuaTargets:
-    def test_cliargs(self):
-        r = run_lua(LUA.CLIARGS_SOURCE, """
-local args = parse_args({"--name=x", "-v", "pos"})
-print(args["name"])
-print(args["v"])
-print(args[1])
-""")
-        assert r.error is None
-
-    def test_haml(self):
-        r = run_lua(LUA.HAML_SOURCE, 'print(render("%p hello"))')
-        assert r.error is None
-        assert r.output[2:] == [ord(c) for c in "<p>hello</p>"]
-
-    def test_json_decodes(self):
-        r = run_lua(LUA.JSON_SOURCE, """
-local v = decode("[1, -2, true]")
-print(v[1])
-print(v[2])
-""")
-        assert r.error is None
-        assert r.output == [1, 1, 1, -2]
-
-    def test_json_comment_skipping_works_when_terminated(self):
-        r = run_lua(LUA.JSON_SOURCE, 'print(decode("/* c */ 7"))')
-        assert r.error is None
-        assert r.output == [1, 7]
-
-    def test_json_unterminated_comment_hangs(self):
-        module = compile_lua(LUA.JSON_SOURCE + '\ndecode("/* oops")')
-        result = LuaHostVM(module, instr_budget=200_000).run()
-        assert result.hit_budget, "the seeded bug must spin forever"
-
-    def test_markdown(self):
-        r = run_lua(LUA.MARKDOWN_SOURCE, 'print(convert_line("## title"))')
-        assert r.output[2:] == [ord(c) for c in "<h2>title</h2>"]
-
-    def test_markdown_emphasis_balance(self):
-        r = run_lua(LUA.MARKDOWN_SOURCE, 'print(convert_line("a *b* c"))')
-        assert r.error is None
-        r2 = run_lua(LUA.MARKDOWN_SOURCE, 'convert_line("a *b")')
-        assert r2.error is not None
-
-    def test_moonscript(self):
-        r = run_lua(LUA.MOONSCRIPT_SOURCE, 'print(compile_chunk("x=1;if go!;return x"))')
-        assert r.error is None
 
 
 class TestPyLiteTargets:
@@ -327,22 +91,3 @@ class TestPyLiteTargets:
         r = run_pylite(PL.RLE_SOURCE, 'print(roundtrip("aaabcc"))')
         assert r.exception is None
         assert r.output == [3, 10]
-
-
-class TestMacController:
-    def test_learning_and_forwarding(self):
-        r = run_py(CONTROLLER_SOURCE, """
-sw = make_switch()
-print(process_frame(sw, 1, 2, 2048, 0))
-print(process_frame(sw, 2, 1, 2048, 1))
-print(process_frame(sw, 9, 9, 7, 2))
-""")
-        assert r.exception is None
-        # unknown dst -> flood (-1); learned dst -> port 0; bad type -> drop (-2)
-        assert r.output == [1, -1, 1, 0, 1, -2]
-
-    def test_driver_generation(self):
-        source = driver_source(3)
-        r = HostVM(compile_source(source)).run()
-        assert r.exception is None
-        assert len([w for w in r.output]) >= 6

@@ -5,8 +5,6 @@ import pytest
 import repro
 import repro.api
 
-from tests.conftest import requires_clay
-
 
 def test_exports():
     for name in repro.__all__:
@@ -28,8 +26,8 @@ def test_session_exported_and_aliased():
 
 
 def test_language_registry_exported():
-    assert repro.languages() == ["minilua", "minipy", "pylite"]
-    assert repro.get_language("minipy").comment_prefix == "#"
+    assert repro.languages() == ["pylite"]
+    assert repro.get_language("pylite").comment_prefix == "#"
 
 
 def test_session_bad_language_error():
@@ -53,39 +51,25 @@ def test_session_events_consumed_twice_raises_cleanly():
         session.events()
 
 
-@requires_clay
 def test_readme_quickstart_flow():
-    engine = repro.MiniPyEngine(
+    # The package docstring's quickstart, run as written.
+    session = repro.Session(
+        "pylite",
         '''
 def check(s):
-    if s.find("@") < 1:
+    if s[0] == "@":
         raise ValueError("bad")
-    return 1
+    return ord(s[1])
 
-data = sym_string("\\x00\\x00\\x00")
+data = sym_string("ab")
 print(check(data))
 ''',
-        repro.ChefConfig(strategy="cupa-path", seed=0, time_budget=5.0),
+        repro.ChefConfig(strategy="cupa-path", time_budget=5.0),
     )
-    result = engine.run()
-    assert result.hl_paths >= 2
-    exceptional = [c for c in result.hl_test_cases if c.exception_type is not None]
-    clean = [c for c in result.hl_test_cases if c.exception_type is None]
+    found = [e.case for e in session.events() if isinstance(e, repro.TestCaseFound)]
+    exceptional = [c for c in found if c.exception_type is not None]
+    clean = [c for c in found if c.exception_type is None]
     assert exceptional and clean
-    for case in result.hl_test_cases:
-        replay = engine.replay(case)
-        assert replay.output == case.output
-
-
-@requires_clay
-def test_lua_engine_exported():
-    engine = repro.MiniLuaEngine(
-        "print(1 + 1)", repro.ChefConfig(time_budget=10.0)
-    )
-    result = engine.run()
-    assert result.suite.cases[0].output == [1, 2]
-
-
-def test_build_options_exported():
-    opts = repro.InterpreterBuildOptions.full()
-    assert opts.hash_neutralization
+    assert exceptional[0].input_string("b0")[0] == "@"
+    for case in found:
+        assert session.replay(case).output == case.output

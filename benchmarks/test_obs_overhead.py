@@ -13,7 +13,9 @@ ops) must stay within 5% of the same loop with no telemetry at all.
 Timing uses best-of-``_ROUNDS`` minima on both sides, which is the
 standard way to make a microbenchmark robust to scheduler noise — the
 minimum is the run with the least interference, and only a systematic
-cost (the thing we are guarding against) can raise it.
+cost (the thing we are guarding against) can raise it.  The plain and
+instrumented rounds alternate, so a host that speeds up or slows down
+mid-test shifts both minima alike.
 
 A second assertion pins the mechanism itself: a disabled
 ``Telemetry.span`` call must return the ``NULL_SPAN`` singleton, not
@@ -59,13 +61,23 @@ def _instrumented_workload(telemetry: Telemetry) -> int:
     return acc
 
 
-def _best_of(fn, *args) -> float:
-    best = float("inf")
+def _timed(fn, *args) -> float:
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
+def _best_of_alternating(telemetry: Telemetry):
+    """Best-of-``_ROUNDS`` minima, plain and instrumented rounds interleaved.
+
+    Alternating inside one loop exposes both sides to the same host-speed
+    drift; timing all plain rounds first would read drift as overhead.
+    """
+    plain = instrumented = float("inf")
     for _ in range(_ROUNDS):
-        start = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best
+        plain = min(plain, _timed(_plain_workload))
+        instrumented = min(instrumented, _timed(_instrumented_workload, telemetry))
+    return plain, instrumented
 
 
 def test_disabled_telemetry_overhead(benchmark, report):
@@ -76,10 +88,9 @@ def test_disabled_telemetry_overhead(benchmark, report):
     _plain_workload()
     _instrumented_workload(telemetry)
 
-    def run():
-        return _best_of(_plain_workload), _best_of(_instrumented_workload, telemetry)
-
-    plain, instrumented = benchmark.pedantic(run, rounds=1, iterations=1)
+    plain, instrumented = benchmark.pedantic(
+        _best_of_alternating, args=(telemetry,), rounds=1, iterations=1
+    )
     overhead = instrumented / plain - 1.0 if plain else 0.0
 
     report(

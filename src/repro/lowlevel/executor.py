@@ -16,13 +16,17 @@ is what makes un-neutralised hash functions explode.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import GuestFault
 from repro.lowlevel import api
 from repro.lowlevel.expr import (
+    BINOP_FUNCS,
+    UNOP_FUNCS,
     Expr,
     Sym,
     evaluate,
@@ -33,31 +37,24 @@ from repro.lowlevel.expr import (
     truth_condition,
 )
 from repro.lowlevel.machine import MachineState, Status
-from repro.lowlevel.program import Opcode, Program
+from repro.lowlevel.program import Function, Opcode, Program
 from repro.obs.metrics import MetricsRegistry, counter_property
 from repro.obs.telemetry import Telemetry
 from repro.solver.backend import SolverBackend
 from repro.solver.constraints import ConstraintSet
 from repro.solver.csp import make_default_solver
 
-_CONCRETE_BIN = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "eq": lambda a, b: int(a == b),
-    "ne": lambda a, b: int(a != b),
-    "lt": lambda a, b: int(a < b),
-    "le": lambda a, b: int(a <= b),
-    "gt": lambda a, b: int(a > b),
-    "ge": lambda a, b: int(a >= b),
-    "land": lambda a, b: int(bool(a) and bool(b)),
-    "lor": lambda a, b: int(bool(a) or bool(b)),
-}
-
 _MAX_SHIFT = 512
+
+#: Binary operators that can fault on concrete operands.  The block
+#: decoder leaves them to the stepper, so a fault lands on an exact
+#: instruction count.
+_FAULTING = frozenset(("div", "mod", "shl", "shr"))
+
+#: Opcodes that end a block (they set the pc or leave the frame).
+_TRANSFERS = frozenset(
+    (Opcode.JMP, Opcode.BR, Opcode.CALL, Opcode.RET, Opcode.HYPER)
+)
 
 #: Terminal statuses that represent exploration artifacts rather than
 #: guest behaviours (unsat alternates, solver timeouts, deadline cuts).
@@ -81,6 +78,18 @@ def fresh_namespace(prefix: str = "e") -> str:
     a parallel run pins one namespace across its whole worker pool.
     """
     return f"{prefix}{next(_ENGINE_COUNTER)}:"
+
+
+def _concrete_bin(op: str, a: int, b: int) -> int:
+    """A binary operator on concrete operands, with the LVM's guest faults."""
+    if op in ("div", "mod") and b == 0:
+        raise GuestFault("division by zero" if op == "div" else "modulo by zero")
+    if op in ("shl", "shr") and (b < 0 or b > _MAX_SHIFT):
+        raise GuestFault(f"shift amount {b} out of range")
+    func = BINOP_FUNCS.get(op)
+    if func is None:
+        raise GuestFault(f"unknown binary operator {op!r}")
+    return func(a, b)
 
 
 @dataclass
@@ -219,6 +228,7 @@ _ENGINE_STAT_FIELDS = (
     "forks",
     "symptr_forks",
     "instrs_executed",
+    "instrs_stepped",
     "states_activated",
     "states_infeasible",
     "states_timeout",
@@ -278,6 +288,10 @@ class LowLevelEngine:
         self.stats = EngineStats(telemetry.registry)
         self._next_sid = 0
         self.namespace = fresh_namespace()
+        # Decode caches keyed by function name (pc -> instruction function,
+        # entry pc -> block); they live here, not on the picklable Program.
+        self._ops: Dict[str, list] = {}
+        self._blocks: Dict[str, dict] = defaultdict(dict)
         # Listener hooks (set by the Chef engine).
         self.on_log_pc: Optional[Callable[[State, int, int], None]] = None
         self.on_fork: Optional[Callable[[State, State], None]] = None
@@ -474,6 +488,7 @@ class LowLevelEngine:
         pending: List[State] = []
         budget = max_instrs if max_instrs is not None else self.config.max_instrs_per_path
         machine = state.machine
+        start_instrs = state.instr_count
         try:
             self._exec_loop(state, pending, budget)
         except GuestFault as fault:
@@ -482,6 +497,8 @@ class LowLevelEngine:
         except ZeroDivisionError:
             machine.status = Status.FAULT
             state.fault_message = "division by zero"
+        finally:
+            self.stats.instrs_executed += state.instr_count - start_instrs
         if machine.status in Status.TERMINAL:
             self.stats.paths_completed += 1
             if self.on_path_end:
@@ -489,128 +506,241 @@ class LowLevelEngine:
         return pending
 
     def _exec_loop(self, state: State, pending: List[State], budget: int) -> None:
+        """Run ``state`` block by block (see "LVM execution" in the docs).
+
+        A block runs only if it ends by ``stop``: the budget or the next
+        4096-instruction deadline poll.  Otherwise, and for the one
+        instruction a block bails on, :meth:`_step` takes over, so every
+        count, fork and fault is exactly the stepper's.
+        """
+        machine = state.machine
+        frames = machine.frames
+        memory = machine.memory
+        deadline = self.config.deadline
+        func = None
+        stop = -1  # set when the first block is checked against it
+        while machine.status == Status.RUNNING:
+            frame = frames[-1]
+            if frame.func is not func:
+                func = frame.func
+                blocks = self._blocks[func.name]
+            pc = frame.pc
+            body, transfer, n = blocks.get(pc) or self._decode_block(func, pc)
+            count = state.instr_count
+            end = count + n
+            if end > stop:
+                # ``stop`` may be stale (a poll behind us): recompute it,
+                # and step only if the block still does not fit.
+                stop = budget if deadline is None else min(budget, -(-count // 4096) * 4096)
+                if end > stop:
+                    if count >= budget:
+                        machine.status = Status.BUDGET_EXCEEDED
+                        return
+                    if (
+                        deadline is not None
+                        and count % 4096 == 0
+                        and time.monotonic() > deadline
+                    ):
+                        machine.status = Status.DEADLINE
+                        return
+                    self._step(state, pending)
+                    continue
+            state.instr_count = end
+            regs = frame.regs
+            for run in body:
+                bail = run(regs, memory)
+                if bail is not None:
+                    break
+            else:
+                bail = transfer(state, frame, regs)
+                if bail is None:
+                    continue
+            # Give back the instructions from ``bail`` on, and step it.
+            frame.pc = bail
+            state.instr_count = count + bail - pc
+            self._step(state, pending)
+
+    def _decode_block(self, func: Function, entry: int) -> Tuple[tuple, Callable, int]:
+        """Decode the block entered at ``entry``: ``(body, transfer, n)``.
+
+        ``body`` runs straight-line instructions as ``run(regs, memory)``,
+        ``transfer(state, frame, regs)`` is the control transfer that ends
+        the block, and ``n`` counts both.  A function returns its own pc
+        when its fast path does not apply.  Each instruction is decoded
+        once and shared by every block that covers it.
+        """
+        instrs = func.instrs
+        ops = self._ops.get(func.name)
+        if ops is None:
+            ops = self._ops[func.name] = [None] * len(instrs)
+        pc = entry
+        while pc < len(instrs):
+            if ops[pc] is None:
+                ops[pc] = self._decode_instr(instrs[pc], pc)
+            if instrs[pc].op in _TRANSFERS:
+                transfer = ops[pc]
+                break
+            pc += 1
+        else:  # past the end there is nothing to run: the stepper faults
+            def transfer(state, frame, regs):
+                return pc
+        block = self._blocks[func.name][entry] = (
+            tuple(ops[entry:pc]), transfer, pc - entry + 1
+        )
+        return block
+
+    def _decode_instr(self, ins, pc: int) -> Callable:
+        """One instruction as a function (its concrete fast path).
+
+        Operands are bound as default arguments rather than closure
+        cells.  That allocates a third of the objects per instruction,
+        which matters for cold code: it runs only a few times per decode.
+        """
+        op, dst, a, b, extra = ins.op, ins.dst, ins.a, ins.b, ins.extra
+        if op == Opcode.CONST:
+            def run(regs, memory, dst=dst, a=a):
+                regs[dst] = a
+        elif op == Opcode.MOVE:
+            def run(regs, memory, dst=dst, a=a):
+                regs[dst] = regs[a]
+        elif op == Opcode.BIN and extra in BINOP_FUNCS and extra not in _FAULTING:
+            def run(regs, memory, dst=dst, a=a, b=b, pc=pc, binop=BINOP_FUNCS[extra]):
+                va = regs[a]
+                vb = regs[b]
+                if type(va) is not int or type(vb) is not int:
+                    return pc
+                regs[dst] = binop(va, vb)
+        elif op == Opcode.UN:
+            def run(regs, memory, dst=dst, a=a, pc=pc,
+                    unop=UNOP_FUNCS.get(extra, operator.invert)):
+                va = regs[a]
+                if type(va) is not int:
+                    return pc
+                regs[dst] = unop(va)
+        elif op == Opcode.LOAD:
+            def run(regs, memory, dst=dst, a=a, pc=pc):
+                addr = regs[a]
+                if type(addr) is not int:
+                    return pc
+                regs[dst] = memory.get(addr, 0)
+        elif op == Opcode.STORE:
+            def run(regs, memory, a=a, b=b, pc=pc):
+                addr = regs[a]
+                if type(addr) is not int:
+                    return pc
+                memory[addr] = regs[b]
+        elif op == Opcode.JMP:
+            def run(state, frame, regs, a=a):
+                frame.pc = a
+        elif op == Opcode.BR:
+            def run(state, frame, regs, a=a, b=b, extra=extra, pc=pc):
+                cond = regs[a]
+                if type(cond) is not int:
+                    return pc
+                frame.pc = b if cond else extra
+        elif op == Opcode.CALL and extra in self.program.functions:
+            def run(state, frame, regs, dst=dst, next_pc=pc + 1,
+                    callee=self.program.functions[extra], arg_regs=ins.args or ()):
+                frame.pc = next_pc
+                state.machine.push_frame(callee, [regs[r] for r in arg_regs], dst)
+        elif op == Opcode.RET:
+            def run(state, frame, regs, a=a):
+                state.machine.pop_frame(regs[a] if a is not None else 0)
+        elif op == Opcode.HYPER:
+            def run(state, frame, regs, dst=dst, next_pc=pc + 1, extra=extra,
+                    arg_regs=ins.args or (), hypercall=self._hypercall):
+                frame.pc = next_pc
+                result = hypercall(state, extra, [regs[r] for r in arg_regs])
+                if dst is not None:
+                    regs[dst] = result if result is not None else 0
+        else:  # faulting operators, undefined callees: always the stepper
+            def run(*_args, pc=pc):
+                return pc
+        return run
+
+    def _step(self, state: State, pending: List[State]) -> None:
+        """Execute one instruction, symbolic operands and faults included."""
         machine = state.machine
         conc = state.conc
-        deadline = self.config.deadline
-        while machine.status == Status.RUNNING:
-            if state.instr_count >= budget:
-                machine.status = Status.BUDGET_EXCEEDED
-                return
-            if (
-                deadline is not None
-                and state.instr_count % 4096 == 0
-                and time.monotonic() > deadline
-            ):
-                machine.status = Status.DEADLINE
-                return
-            frame = machine.frames[-1]
-            instrs = frame.func.instrs
-            if frame.pc >= len(instrs):
-                raise GuestFault(
-                    f"fell off the end of {frame.func.name!r} at pc {frame.pc}"
-                )
-            ins = instrs[frame.pc]
-            op = ins.op
-            regs = frame.regs
-            state.instr_count += 1
-            self.stats.instrs_executed += 1
+        frame = machine.frames[-1]
+        instrs = frame.func.instrs
+        if frame.pc >= len(instrs):
+            raise GuestFault(
+                f"fell off the end of {frame.func.name!r} at pc {frame.pc}"
+            )
+        ins = instrs[frame.pc]
+        op = ins.op
+        regs = frame.regs
+        state.instr_count += 1
+        self.stats.instrs_stepped += 1
 
-            if op == Opcode.BIN:
-                va = regs[ins.a]
-                vb = regs[ins.b]
-                binop = ins.extra
-                if type(va) is int and type(vb) is int:
-                    func = _CONCRETE_BIN.get(binop)
-                    if func is not None:
-                        regs[ins.dst] = func(va, vb)
-                    else:
-                        regs[ins.dst] = self._concrete_slow_bin(binop, va, vb)
+        if op == Opcode.BIN:
+            va = regs[ins.a]
+            vb = regs[ins.b]
+            if type(va) is int and type(vb) is int:
+                regs[ins.dst] = _concrete_bin(ins.extra, va, vb)
+            else:
+                regs[ins.dst] = self._symbolic_bin(state, ins.extra, va, vb)
+            frame.pc += 1
+        elif op == Opcode.CONST:
+            regs[ins.dst] = ins.a
+            frame.pc += 1
+        elif op == Opcode.MOVE:
+            regs[ins.dst] = regs[ins.a]
+            frame.pc += 1
+        elif op == Opcode.LOAD:
+            addr = self._resolve_address(state, regs[ins.a], pending)
+            regs[ins.dst] = machine.mem_read(addr)
+            frame.pc += 1
+        elif op == Opcode.STORE:
+            addr = self._resolve_address(state, regs[ins.a], pending)
+            machine.mem_write(addr, regs[ins.b])
+            frame.pc += 1
+        elif op == Opcode.BR:
+            cond = regs[ins.a]
+            if type(cond) is int:
+                frame.pc = ins.b if cond else ins.extra
+            else:
+                conc_cond = conc(cond)
+                if conc_cond:
+                    taken, alt = ins.b, ins.extra
+                    atom = truth_condition(cond)
+                    alt_atom = negate_condition(cond)
                 else:
-                    regs[ins.dst] = self._symbolic_bin(state, binop, va, vb)
-                frame.pc += 1
-            elif op == Opcode.CONST:
-                regs[ins.dst] = ins.a
-                frame.pc += 1
-            elif op == Opcode.MOVE:
-                regs[ins.dst] = regs[ins.a]
-                frame.pc += 1
-            elif op == Opcode.LOAD:
-                addr = self._resolve_address(state, regs[ins.a], pending)
-                regs[ins.dst] = machine.mem_read(addr)
-                frame.pc += 1
-            elif op == Opcode.STORE:
-                addr = self._resolve_address(state, regs[ins.a], pending)
-                machine.mem_write(addr, regs[ins.b])
-                frame.pc += 1
-            elif op == Opcode.BR:
-                cond = regs[ins.a]
-                if type(cond) is int:
-                    frame.pc = ins.b if cond else ins.extra
-                else:
-                    conc_cond = conc(cond)
-                    if conc_cond:
-                        taken, alt = ins.b, ins.extra
-                        atom = truth_condition(cond)
-                        alt_atom = negate_condition(cond)
-                    else:
-                        taken, alt = ins.extra, ins.b
-                        atom = negate_condition(cond)
-                        alt_atom = truth_condition(cond)
-                    if isinstance(alt_atom, Expr):
-                        pending.append(self._fork(state, alt_atom, alt))
-                    state.add_constraint(atom)
-                    frame.pc = taken
-            elif op == Opcode.JMP:
-                frame.pc = ins.a
-            elif op == Opcode.CALL:
-                func = self.program.get_function(ins.extra)
-                args = [regs[r] for r in ins.args or ()]
-                frame.pc += 1
-                machine.push_frame(func, args, ins.dst)
-            elif op == Opcode.RET:
-                value = regs[ins.a] if ins.a is not None else 0
-                machine.pop_frame(value)
-            elif op == Opcode.UN:
-                va = regs[ins.a]
-                if type(va) is int:
-                    if ins.extra == "neg":
-                        regs[ins.dst] = -va
-                    elif ins.extra == "lnot":
-                        regs[ins.dst] = int(va == 0)
-                    else:
-                        regs[ins.dst] = ~va
-                else:
-                    regs[ins.dst] = mk_unop(ins.extra, va)
-                frame.pc += 1
-            elif op == Opcode.HYPER:
-                args = [regs[r] for r in ins.args or ()]
-                frame.pc += 1
-                result = self._hypercall(state, ins.extra, args, pending)
-                if ins.dst is not None:
-                    regs[ins.dst] = result if result is not None else 0
-            else:  # pragma: no cover - all opcodes covered
-                raise GuestFault(f"unknown opcode {op}")
+                    taken, alt = ins.extra, ins.b
+                    atom = negate_condition(cond)
+                    alt_atom = truth_condition(cond)
+                if isinstance(alt_atom, Expr):
+                    pending.append(self._fork(state, alt_atom, alt))
+                state.add_constraint(atom)
+                frame.pc = taken
+        elif op == Opcode.JMP:
+            frame.pc = ins.a
+        elif op == Opcode.CALL:
+            func = self.program.get_function(ins.extra)
+            args = [regs[r] for r in ins.args or ()]
+            frame.pc += 1
+            machine.push_frame(func, args, ins.dst)
+        elif op == Opcode.RET:
+            value = regs[ins.a] if ins.a is not None else 0
+            machine.pop_frame(value)
+        elif op == Opcode.UN:
+            va = regs[ins.a]
+            if type(va) is int:
+                regs[ins.dst] = UNOP_FUNCS.get(ins.extra, operator.invert)(va)
+            else:
+                regs[ins.dst] = mk_unop(ins.extra, va)
+            frame.pc += 1
+        elif op == Opcode.HYPER:
+            args = [regs[r] for r in ins.args or ()]
+            frame.pc += 1
+            result = self._hypercall(state, ins.extra, args)
+            if ins.dst is not None:
+                regs[ins.dst] = result if result is not None else 0
+        else:  # pragma: no cover - all opcodes covered
+            raise GuestFault(f"unknown opcode {op}")
 
     # -- operators -------------------------------------------------------------
-
-    def _concrete_slow_bin(self, op: str, a: int, b: int) -> int:
-        if op == "div":
-            if b == 0:
-                raise GuestFault("division by zero")
-            return a // b
-        if op == "mod":
-            if b == 0:
-                raise GuestFault("modulo by zero")
-            return a % b
-        if op == "shl":
-            if b < 0 or b > _MAX_SHIFT:
-                raise GuestFault(f"shift amount {b} out of range")
-            return a << b
-        if op == "shr":
-            if b < 0 or b > _MAX_SHIFT:
-                raise GuestFault(f"shift amount {b} out of range")
-            return a >> b
-        raise GuestFault(f"unknown binary operator {op!r}")
 
     def _symbolic_bin(self, state: State, op: str, va, vb):
         if op in ("div", "mod"):
@@ -662,7 +792,7 @@ class LowLevelEngine:
 
     # -- hypercalls ---------------------------------------------------------------
 
-    def _hypercall(self, state: State, name: str, args: List, pending: List[State]):
+    def _hypercall(self, state: State, name: str, args: List):
         if name == api.LOG_PC:
             pc = state.conc(args[0])
             opcode = state.conc(args[1]) if len(args) > 1 else 0

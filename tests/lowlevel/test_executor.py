@@ -72,6 +72,7 @@ class TestConcreteExecution:
         state = engine.new_state()
         engine.run_path(state, max_instrs=1000)
         assert state.status == Status.BUDGET_EXCEEDED
+        assert state.instr_count == 1000
 
     def test_main_return_halts(self):
         engine = _engine("fn main() { out(1); }")

@@ -572,6 +572,15 @@ def mk_binop(op: str, a: Value, b: Value) -> Value:
         a, b = b, a
         op = _CMP_SWAP[op]
         a_sym, b_sym = True, False
+    # Two variables under a commutative op are ordered by name, so
+    # ``x == y`` and ``y == x`` intern to one node.
+    if (
+        op in _COMMUTATIVE
+        and isinstance(a, Sym)
+        and isinstance(b, Sym)
+        and a.name > b.name
+    ):
+        a, b = b, a
 
     if not b_sym:
         if op in ("add", "sub", "or", "xor", "shl", "shr") and b == 0:
@@ -585,10 +594,10 @@ def mk_binop(op: str, a: Value, b: Value) -> Value:
             return a
         if op == "and" and b == 0:
             return 0
-        if op == "land" and b == 0:
-            return 0
-        if op == "lor" and b != 0:
-            return 1
+        if op == "land":
+            return truth_condition(a) if b != 0 else 0
+        if op == "lor":
+            return truth_condition(a) if b == 0 else 1
 
     if a_sym and b_sym and a is b:
         if op in ("sub", "xor"):
@@ -650,15 +659,18 @@ def negate_condition(cond: Value) -> Value:
     return mk_unop("lnot", cond)
 
 
+def is_condition(v: Value) -> bool:
+    """True for a comparison, ``land``, ``lor`` or ``lnot`` node."""
+    if isinstance(v, UnExpr):
+        return v.op == "lnot"
+    return isinstance(v, BinExpr) and (v.op in COMPARISONS or v.op in ("land", "lor"))
+
+
 def truth_condition(cond: Value) -> Value:
     """Normalise a value used as a branch condition to a 0/1 expression."""
     if not isinstance(cond, Expr):
         return int(cond != 0)
-    if isinstance(cond, BinExpr) and (cond.op in COMPARISONS or cond.op in ("land", "lor")):
-        return cond
-    if isinstance(cond, UnExpr) and cond.op == "lnot":
-        return cond
-    return mk_binop("ne", cond, 0)
+    return cond if is_condition(cond) else mk_binop("ne", cond, 0)
 
 
 def conjoin(conds: Iterable[Value]) -> Value:

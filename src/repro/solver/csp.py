@@ -9,13 +9,18 @@ variables; the solver decides satisfiability by:
 1. reusing the constraint set's known-model chain — a query whose atoms
    extend an already-satisfied ancestor set first re-checks only the new
    atoms against the ancestor's model (the incremental fast path),
-2. normalising atoms to comparisons,
+2. normalising atoms to literal form (conditions compared with 0
+   unwrapped, truthy conjunctions split),
 3. splitting the query into independent connected components, adopting
    the ancestor model wholesale for components no new atom touches
    (independence slicing) and consulting the solver's own
    :class:`~repro.solver.cache.ModelCache` per component,
-4. tightening per-variable domains from single-variable affine atoms,
-5. depth-first search with concrete checks and interval pruning.
+4. alternating single-variable domain tightening with boolean unit
+   propagation, which refutes contradictory components with no search
+   (clauses are never resolved against each other, so
+   ``(x==180 or y!=180) and (x==180 or y==180)`` is left to search),
+5. depth-first search with concrete checks, interval pruning and
+   forward checking.
 
 Search effort is budgeted in deterministic *steps*; exceeding the budget
 raises :class:`~repro.errors.SolverTimeout` from :meth:`CspSolver.solve`
@@ -28,6 +33,7 @@ the motivation for the paper's hash-neutralisation optimisation (§4.2).
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -36,12 +42,15 @@ from repro.errors import SolverDeadline, SolverTimeout
 from repro.obs.metrics import MetricsRegistry, counter_property
 from repro.obs.telemetry import Telemetry
 from repro.lowlevel.expr import (
+    _CMP_SWAP,
+    BINOP_FUNCS,
     BinExpr,
     COMPARISONS,
     Expr,
     Sym,
     UnExpr,
     evaluate,
+    is_condition,
     mk_binop,
     negate_condition,
 )
@@ -49,6 +58,8 @@ from repro.solver.backend import CheckResult, SAT, SolverBackend, UNKNOWN, UNSAT
 from repro.solver.cache import ModelCache, UNSAT as UNSAT_ENTRY
 from repro.solver.constraints import ConstraintSet
 from repro.solver.interval import Interval, interval_eval
+
+_log = logging.getLogger("repro.solver")
 
 #: Default search budget (value-assignment attempts per query).
 DEFAULT_BUDGET = 12_000
@@ -146,7 +157,10 @@ def _normalise(constraints: Sequence) -> Optional[List[Expr]]:
     Conjunctions are decomposed: branch-free guest code (fast-path-
     eliminated string comparison) produces conditions like
     ``(c0==97)&(c1==98)&... == 1``; splitting them into per-character
-    atoms lets interval propagation solve them without search.
+    atoms lets interval propagation solve them without search.  A
+    condition compared with 0 is unwrapped to literal form (``C != 0``
+    is ``C``, ``C == 0`` is ``not C``), so a negated comparison becomes
+    a bound and one condition always appears as one interned atom.
     """
     atoms: List[Expr] = []
     seen = set()
@@ -160,7 +174,7 @@ def _normalise(constraints: Sequence) -> Optional[List[Expr]]:
             continue
         if isinstance(c, UnExpr) and c.op == "lnot":
             c = mk_binop("eq", c.a, 0)
-        elif not (isinstance(c, BinExpr) and (c.op in COMPARISONS or c.op in ("land", "lor"))):
+        elif not is_condition(c):
             c = mk_binop("ne", c, 0)
         if not isinstance(c, Expr):
             if c == 0:
@@ -174,29 +188,32 @@ def _normalise(constraints: Sequence) -> Optional[List[Expr]]:
                 work.append(c.a)
                 work.append(c.b)
                 continue
-            if (
-                c.op == "ne"
-                and not isinstance(c.b, Expr)
-                and c.b == 0
-                and isinstance(c.a, BinExpr)
-                and c.a.op == "and"
-                and _is_boolean_valued(c.a.a, bool_memo)
-                and _is_boolean_valued(c.a.b, bool_memo)
-            ):
-                work.append(c.a.a)
-                work.append(c.a.b)
+            inner = c.a
+            if c.op == "ne" and c.b == 0 and is_condition(inner):
+                work.append(inner)  # C != 0 is C itself
                 continue
             if (
-                c.op == "eq"
-                and not isinstance(c.b, Expr)
+                c.op == "ne"
                 and c.b == 0
-                and isinstance(c.a, BinExpr)
+                and isinstance(inner, BinExpr)
+                and inner.op == "and"
+                and _is_boolean_valued(inner.a, bool_memo)
+                and _is_boolean_valued(inner.b, bool_memo)
             ):
-                inner = c.a
-                if inner.op == "lor" or (
-                    inner.op == "or"
-                    and _is_boolean_valued(inner.a, bool_memo)
-                    and _is_boolean_valued(inner.b, bool_memo)
+                work.append(inner.a)
+                work.append(inner.b)
+                continue
+            if c.op == "eq" and c.b == 0 and isinstance(inner, Expr):
+                if is_condition(inner) and inner.op not in ("land", "lor"):
+                    work.append(negate_condition(inner))  # C == 0 is not C
+                    continue
+                if isinstance(inner, BinExpr) and (
+                    inner.op == "lor"
+                    or (
+                        inner.op == "or"
+                        and _is_boolean_valued(inner.a, bool_memo)
+                        and _is_boolean_valued(inner.b, bool_memo)
+                    )
                 ):
                     work.append(negate_condition(inner.a))
                     work.append(negate_condition(inner.b))
@@ -242,39 +259,180 @@ def _affine_of_single_var(expr) -> Optional[Tuple[str, int, int]]:
     return None
 
 
-def _bound_from_atom(atom: Expr) -> Optional[Tuple[str, Interval, bool]]:
-    """Derive a domain restriction from a single-variable comparison.
+def _affine_bound(op: str, mul: int, add: int, c: int) -> Optional[Tuple[Interval, bool]]:
+    """Values of ``v`` satisfying ``mul*v + add op c`` (``mul >= 0``).
 
-    Returns (name, interval, is_disequality).  For ``ne`` atoms the interval
-    is the *excluded* single point.
+    Returns (interval, is_disequality); for ``ne`` the interval is the
+    *excluded* single point.  None means no restriction.
     """
-    if not (isinstance(atom, BinExpr) and atom.op in COMPARISONS):
-        return None
-    if isinstance(atom.b, Expr):
-        return None
-    affine = _affine_of_single_var(atom.a)
-    if affine is None:
-        return None
-    name, mul, add = affine
-    c = atom.b - add
-    op = atom.op
+    c -= add
+    if mul == 0:
+        return None if BINOP_FUNCS[op](0, c) else (Interval(1, 0), False)
     if op == "eq":
         if c % mul != 0:
-            return (name, Interval(1, 0), False)  # empty: impossible
-        return (name, Interval.exact(c // mul), False)
+            return (Interval(1, 0), False)  # empty: impossible
+        return (Interval.exact(c // mul), False)
     if op == "ne":
         if c % mul != 0:
             return None  # always satisfied; no restriction
-        return (name, Interval.exact(c // mul), True)
+        return (Interval.exact(c // mul), True)
     if op == "le":
-        return (name, Interval(None, c // mul), False)
+        return (Interval(None, c // mul), False)
     if op == "lt":
-        return (name, Interval(None, (c - 1) // mul), False)
+        return (Interval(None, (c - 1) // mul), False)
     if op == "ge":
-        return (name, Interval(-(-c // mul), None), False)
+        return (Interval(-(-c // mul), None), False)
     if op == "gt":
-        return (name, Interval(-(-(c + 1) // mul), None), False)
+        return (Interval(-(-(c + 1) // mul), None), False)
     return None
+
+
+def _solve_for(atom: Expr, name: str) -> Optional[Tuple[str, int, int, object]]:
+    """Read a comparison as ``mul*name + add op other`` (``mul >= 0``).
+
+    ``other`` does not mention ``name``: it is a constant for a
+    single-variable atom (a domain bound) and, in search, evaluates to
+    one once every other variable is assigned (forward checking).
+    """
+    if not (isinstance(atom, BinExpr) and atom.op in COMPARISONS):
+        return None
+    for side, other, op in (
+        (atom.a, atom.b, atom.op),
+        (atom.b, atom.a, _CMP_SWAP[atom.op]),
+    ):
+        affine = _affine_of_single_var(side)
+        if affine is None or affine[0] != name:
+            continue
+        _, mul, add = affine
+        if isinstance(other, Expr) and name in {v.name for v in other.free_vars()}:
+            rest = _affine_of_single_var(other)
+            if rest is None:
+                return None
+            # mul*v + add op m*v + k  <=>  (mul-m)*v + (add-k) op 0
+            mul, add, other = mul - rest[1], add - rest[2], 0
+            if mul < 0:
+                op, mul, add = _CMP_SWAP[op], -mul, -add
+        return (op, mul, add, other)
+    return None
+
+
+def _tighten(atoms: Sequence[Expr], work: Dict[str, Tuple[int, int]]) -> bool:
+    """Propagate single-variable bounds into ``work`` (bounded passes).
+
+    Returns False when some domain becomes empty.
+    """
+    for _ in range(4):
+        changed = False
+        for atom in atoms:
+            var, *others = atom.free_vars()
+            name = var.name
+            read = None if others else _solve_for(atom, name)
+            if read is None or isinstance(read[3], Expr):
+                continue
+            restriction = _affine_bound(*read)
+            if restriction is None:
+                continue
+            interval, is_ne = restriction
+            lo, hi = work[name]
+            if is_ne:
+                # Exclude a single point only when it is an endpoint.
+                if interval.lo == lo == hi:
+                    return False
+                if interval.lo == lo:
+                    lo += 1
+                    changed = True
+                elif interval.lo == hi:
+                    hi -= 1
+                    changed = True
+            else:
+                cur = Interval(lo, hi).intersect(interval)
+                if cur.is_empty():
+                    return False
+                new_lo = lo if cur.lo is None else cur.lo
+                new_hi = hi if cur.hi is None else cur.hi
+                if (new_lo, new_hi) != (lo, hi):
+                    lo, hi = new_lo, new_hi
+                    changed = True
+            work[name] = (lo, hi)
+        if not changed:
+            break
+    return True
+
+
+def _propagate(
+    atoms: Sequence[Expr], domains: Dict[str, Tuple[int, int]]
+) -> Optional[List[Expr]]:
+    """Boolean unit propagation over the atoms' condition skeletons.
+
+    Asserting an atom fixes its sub-conditions: a true ``land`` (false
+    ``lor``) fixes both operands, a comparison its negation, and
+    ``X != 0``, ``X == 0`` and ``lnot X`` fix ``X``.  A false ``land``
+    (true ``lor``) is a two-literal clause.  A term is also known when
+    its interval over ``domains`` excludes 0 or is exactly 0.  Returns
+    the comparisons found true, or None when a term is fixed both ways.
+    """
+    truth: Dict[int, bool] = {}
+    terms: List[Expr] = []
+    clauses: list = []
+    memo: dict = {}
+
+    def known(term) -> Optional[bool]:
+        if not isinstance(term, Expr):
+            return term != 0
+        value = truth.get(id(term))
+        if value is None:
+            iv = interval_eval(term, domains, None, memo)
+            if not iv.contains(0):
+                value = True
+            elif iv.is_exact():
+                value = False
+        return value
+
+    def fix(term, value: bool) -> bool:
+        stack = [(term, value)]
+        while stack:
+            term, value = stack.pop()
+            have = known(term)
+            if have is not None and have != value:
+                return False
+            if not isinstance(term, Expr) or id(term) in truth:
+                continue
+            truth[id(term)] = value
+            terms.append(term)
+            op = getattr(term, "op", None)  # None for a variable
+            if op == "lnot":
+                stack.append((term.a, not value))
+            elif op in ("land", "lor"):
+                if value == (op == "land"):
+                    stack.append((term.a, value))
+                    stack.append((term.b, value))
+                else:
+                    clauses.append((term.a, value, term.b, value))
+            elif op in COMPARISONS:
+                stack.append((negate_condition(term), not value))
+                if op in ("eq", "ne") and term.b == 0:
+                    stack.append((term.a, value == (op == "ne")))
+        return True
+
+    for atom in atoms:
+        if not fix(atom, True):
+            return None
+    changed = True
+    while changed:
+        changed = False
+        for a, want_a, b, want_b in clauses:
+            have_a, have_b = known(a), known(b)
+            if have_a == want_a or have_b == want_b or have_a is have_b is None:
+                continue
+            if have_a is not None and have_b is not None:
+                return None  # both literals false
+            if not fix(*((a, want_a) if have_a is None else (b, want_b))):
+                return None
+            changed = True
+    return [
+        t for t in terms
+        if truth[id(t)] and isinstance(t, BinExpr) and t.op in COMPARISONS
+    ]
 
 
 def _holds(atom, env: Dict[str, int], memo: dict) -> bool:
@@ -345,12 +503,8 @@ class CspSolver(SolverBackend):
         budget: Optional[int],
     ) -> CheckResult:
         try:
-            model = self._solve_set(self._as_set(constraints), hint, budget)
-        except SolverDeadline:
-            self.stats.deadline_unknowns += 1
-            return CheckResult(UNKNOWN)
+            model = self.solve(constraints, hint, budget)
         except SolverTimeout:
-            self.stats.timeouts += 1
             return CheckResult(UNKNOWN)
         if model is None:
             return CheckResult(UNSAT)
@@ -368,13 +522,19 @@ class CspSolver(SolverBackend):
         The assignment covers every variable occurring in the constraints.
         ``budget`` overrides the solver-wide step budget for this query.
         """
+        cs = self._as_set(constraints)
         try:
-            return self._solve_set(self._as_set(constraints), hint, budget)
-        except SolverDeadline:
-            self.stats.deadline_unknowns += 1
-            raise
-        except SolverTimeout:
-            self.stats.timeouts += 1
+            return self._solve_set(cs, hint, budget)
+        except SolverTimeout as exc:
+            if isinstance(exc, SolverDeadline):
+                self.stats.deadline_unknowns += 1
+            else:
+                self.stats.timeouts += 1
+            # The engine drops the state: this is the only trace of why.
+            _log.warning(
+                "solver query over %d atoms gave up (budget %d steps, deadline %ss): %s",
+                len(cs), self.budget if budget is None else budget, self.deadline_s, exc,
+            )
             raise
 
     def satisfiable(
@@ -706,47 +866,35 @@ class CspSolver(SolverBackend):
         if budget <= 0:
             raise SolverTimeout("solver budget exhausted before search")
 
-        # Propagate single-variable bounds to a fixpoint (bounded passes).
+        # Before search: bounds and boolean unit propagation feed each
+        # other; implied literals join the component (bounded rounds).
         work = dict(domains)
-        for _ in range(4):
-            changed = False
-            for atom in comp.constraints:
-                restriction = _bound_from_atom(atom)
-                if restriction is None:
-                    continue
-                name, interval, is_ne = restriction
-                lo, hi = work[name]
-                if is_ne:
-                    # Exclude a single point only when it is an endpoint.
-                    if interval.lo == lo == hi:
-                        return None, 0
-                    if interval.lo == lo:
-                        lo += 1
-                        changed = True
-                    elif interval.lo == hi:
-                        hi -= 1
-                        changed = True
-                else:
-                    cur = Interval(lo, hi).intersect(interval)
-                    if cur.is_empty():
-                        return None, 0
-                    new_lo = lo if cur.lo is None else cur.lo
-                    new_hi = hi if cur.hi is None else cur.hi
-                    if (new_lo, new_hi) != (lo, hi):
-                        lo, hi = new_lo, new_hi
-                        changed = True
-                work[name] = (lo, hi)
-            if not changed:
+        atoms = list(comp.constraints)
+        seen = {id(a) for a in atoms}
+        for _ in range(3):
+            if not _tighten(atoms, work):
+                return None, 0
+            implied = _propagate(atoms, work)
+            if implied is None:
+                return None, 0
+            fresh = [a for a in implied if id(a) not in seen]
+            if not fresh:
                 break
+            seen.update(id(a) for a in fresh)
+            atoms.extend(fresh)
 
         order = sorted(comp.names, key=lambda n: (work[n][1] - work[n][0], n))
         var_atoms: Dict[str, List[Expr]] = {n: [] for n in order}
         completes_at: Dict[str, List[Expr]] = {n: [] for n in order}
+        checks: Dict[str, list] = {n: [] for n in order}
         position = {n: i for i, n in enumerate(order)}
-        for atom in comp.constraints:
+        for atom in atoms:
             names = [v.name for v in atom.free_vars()]
             last = max(names, key=lambda n: position[n])
             completes_at[last].append(atom)
+            read = _solve_for(atom, last)
+            if read is not None:
+                checks[last].append(read)
             for n in names:
                 if n != last:
                     var_atoms[n].append(atom)
@@ -755,8 +903,7 @@ class CspSolver(SolverBackend):
         steps = 0
         deadline_at = self._deadline_at
 
-        def candidates(name: str):
-            lo, hi = work[name]
+        def candidates(name: str, lo: int, hi: int):
             tried = set()
             for v in (hint.get(name), lo, hi):
                 if v is not None and lo <= v <= hi and v not in tried:
@@ -771,7 +918,14 @@ class CspSolver(SolverBackend):
             if idx == len(order):
                 return True
             name = order[idx]
-            for value in candidates(name):
+            # Forward checking: an atom this variable completes, with
+            # every other variable assigned, bounds its candidates.
+            span = Interval(*work[name])
+            for op, mul, add, other in checks[name]:
+                restriction = _affine_bound(op, mul, add, evaluate(other, env))
+                if restriction is not None and not restriction[1]:
+                    span = span.intersect(restriction[0])
+            for value in candidates(name, span.lo, span.hi):
                 steps += 1
                 if steps > budget:
                     raise SolverTimeout(

@@ -6,7 +6,10 @@ apply.  That must not change what a run counts: these pin, per pack and
 seed string, the exact ``engine.instrs_executed`` and ``engine.forks``
 totals and the multiset of ``(ll_instr_count, hl_instr_count)`` over
 every generated test (by size, sums and a digest of the sorted pairs),
-as the per-instruction executor produced them.
+as the per-instruction executor produced them.  The longer rle rows
+were taken while two to nineteen of rle's queries still budgeted out,
+so they also pin that the solver's pre-search propagation moves no
+path.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ GOLDEN = {
     ("turnstile", "cpcp"): (31, 28_731, 30, 113_872, 993, "a5e8f147292dbd71"),
     ("turnstile", "cpc"): (15, 13_725, 14, 42_478, 393, "ade28727931e8920"),
     ("rle", "ab"): (2, 3_974, 5, 4_524, 72, "baa2591ef7bd888f"),
+    ("rle", "abc"): (4, 9_802, 14, 12_408, 176, "b3f36c65956e3ffd"),
+    ("rle", "abcd"): (8, 23_020, 34, 31_616, 416, "676157d934792edc"),
     ("parseint", "12"): (8, 2_028, 7, 6_724, 118, "98e8d995749e944d"),
     ("parseint", "123"): (12, 2_894, 11, 12_588, 202, "8f283f893abb1d7a"),
     ("parseint", "1234"): (16, 3_760, 15, 20_140, 302, "57a8bc4e3dbe9c2d"),
@@ -68,3 +73,12 @@ def test_turnstile_runs_almost_entirely_in_blocks():
     # symbolic operands, faulting operators) stays a small share.
     _cases, metrics = _explore("turnstile", "cpcpcpc")
     assert 0 < metrics["engine.instrs_stepped"] <= 0.02 * metrics["engine.instrs_executed"]
+
+
+@pytest.mark.parametrize("seed_string", ["ab", "abc", "abcd"])
+def test_rle_queries_never_budget_out(seed_string):
+    # Every rle query the search sees is refuted or solved by the
+    # propagation ahead of it; none may exhaust the step budget.
+    _cases, metrics = _explore("rle", seed_string)
+    assert metrics["solver.timeouts"] == 0
+    assert metrics["solver.search_steps"] < 1000

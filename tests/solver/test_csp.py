@@ -1,11 +1,15 @@
 """CSP solver tests: correctness, decomposition, budgets, max_value."""
 
+import logging
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SolverTimeout
+from repro.faults import FaultInjector, FaultPlan
 from repro.lowlevel.expr import Sym, evaluate, mk_binop, mk_unop
-from repro.solver.csp import CspSolver
+from repro.solver.backend import UNKNOWN
+from repro.solver.csp import CspSolver, _normalise
 
 
 def _vars(prefix, n, lo=0, hi=255):
@@ -104,6 +108,31 @@ class TestDecomposition:
         sol = solver.solve([conj])
         assert sol["cs_l_0"] > 250 and sol["cs_l_1"] < 2
 
+    def test_negated_comparison_narrows_domain(self):
+        # lnot(y >= 142) reaches the solver as (y >= 142) == 0; it must
+        # become the bound y < 142, not an atom left to search.
+        (y,) = _vars("cs_u", 1)
+        negated = mk_binop("eq", mk_binop("ge", y, 142), 0)
+        assert _normalise([negated]) == [mk_binop("lt", y, 142)]
+        solver = CspSolver()
+        assert solver.solve([negated, mk_binop("gt", y, 141)]) is None
+        assert solver.stats.search_steps == 0
+
+    def test_truthy_land_under_ne_zero_decomposes(self):
+        c0, c1 = _vars("cs_v", 2)
+        a, b = mk_binop("gt", c0, 250), mk_binop("lt", c1, 2)
+        wrapped = mk_binop("ne", mk_binop("land", a, b), 0)
+        assert set(_normalise([wrapped])) == {a, b}
+        solver = CspSolver()
+        sol = solver.solve([wrapped])
+        assert sol["cs_v_0"] > 250 and sol["cs_v_1"] < 2
+        assert solver.stats.search_steps <= 2
+
+    def test_equality_between_variables_is_canonical(self):
+        x, y = _vars("cs_w", 2)
+        assert mk_binop("eq", y, x) is mk_binop("eq", x, y)
+        assert mk_binop("ne", y, x) is mk_binop("ne", x, y)
+
 
 class TestBudget:
     def test_timeout_raised_and_counted(self):
@@ -126,6 +155,29 @@ class TestBudget:
         solver = CspSolver(budget=10_000_000)
         with pytest.raises(SolverTimeout):
             solver.solve([mk_binop("eq", h, 4095)], budget=25)
+
+
+    def test_budget_out_logs_one_warning(self, caplog):
+        # A dropped state is otherwise silent: each budget-out is one
+        # warning naming the budget and the query size.
+        (x,) = _vars("cs_x", 1)
+        solver = CspSolver(faults=FaultInjector(FaultPlan(fail_query_every=3)))
+        with caplog.at_level(logging.WARNING, logger="repro.solver"):
+            statuses = [solver.check([mk_binop("eq", x, v)]).status for v in range(6)]
+        assert statuses.count(UNKNOWN) == 2 == solver.stats.timeouts
+        messages = [r.getMessage() for r in caplog.records if r.name == "repro.solver"]
+        assert len(messages) == 2
+        assert all("over 1 atoms" in m and "budget 12000 steps" in m for m in messages)
+
+    def test_deadline_logs_one_warning(self, caplog):
+        (x,) = _vars("cs_y", 1)
+        plan = FaultPlan(wedge_from_query=0, wedge_seconds=0.02)
+        solver = CspSolver(deadline_s=0.001, faults=FaultInjector(plan))
+        with caplog.at_level(logging.WARNING, logger="repro.solver"):
+            assert solver.check([mk_binop("eq", x, 1)]).status == UNKNOWN
+        assert solver.stats.deadline_unknowns == 1
+        (message,) = [r.getMessage() for r in caplog.records if r.name == "repro.solver"]
+        assert "deadline 0.001s" in message
 
 
 class TestCaching:

@@ -129,7 +129,6 @@ def test_parallel_speedup(benchmark, report):
                 "batches": parallel.batches,
                 "wall_time_s": round(parallel.wall_time, 4),
                 "solver_stats": parallel.solver_stats,
-                "cache_stats": parallel.cache_stats,
             },
             "pool": {
                 "spawns": pool.spawns,

@@ -3,12 +3,12 @@
 Exhaustively explores a branchy LVM guest whose path conditions are the
 query stream the incremental constraint-set architecture targets:
 sibling states share long path-condition prefixes, and most branch atoms
-touch a single input byte, so independence slicing and the engine-wide
-component cache should absorb nearly all of the solver work.
+touch a single input byte, so independence slicing and counterexample
+reuse of recent models should absorb nearly all of the solver work.
 
 Asserts the architecture's observable effect — nonzero incremental hits,
-sliced atoms and component-cache hits — and reports the counters so the
-perf trajectory is visible per PR.
+sliced atoms and counterexample reuses — and reports the counters so
+the perf trajectory is visible per change.
 """
 
 from repro.bench.perfjson import update_bench_json
@@ -45,12 +45,11 @@ def test_solver_incremental_reuse(benchmark, report):
             compiled.program, solver=solver, config=ExecutorConfig()
         )
         paths = _explore(engine)
-        return paths, solver.stats.as_dict(), solver.cache.stats_dict()
+        return paths, solver.stats.as_dict()
 
-    paths, stats, cache_stats = benchmark.pedantic(run, rounds=1, iterations=1)
+    paths, stats = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = [[k, v] for k, v in stats.items()]
-    rows += [[f"cache_{k}", v] for k, v in cache_stats.items()]
     report(
         f"Incremental solving on a {_BYTES}-byte branchy guest "
         f"({paths} paths explored)",
@@ -61,7 +60,6 @@ def test_solver_incremental_reuse(benchmark, report):
         {
             "workload": {"kind": "branchy", "bytes": _BYTES, "paths": paths},
             "solver_stats": stats,
-            "cache_stats": cache_stats,
         },
     )
 
@@ -69,9 +67,9 @@ def test_solver_incremental_reuse(benchmark, report):
     # The architecture's acceptance bar: real reuse, not just plumbing.
     assert stats["incremental_hits"] > 0, stats
     assert stats["atoms_sliced"] > 0, stats
-    assert stats["component_cache_hits"] > 0, stats
+    assert stats["cex_reuses"] > 0, stats
     # Slicing must leave search effort sub-linear in the query volume:
     # every activation re-solving its full path condition would cost
-    # ~|pc| steps per query; component reuse keeps it near one fresh
+    # ~|pc| steps per query; slicing and reuse keep it near one fresh
     # component per activation.
     assert stats["search_steps"] < stats["queries"] * _BYTES, stats

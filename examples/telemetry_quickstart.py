@@ -45,8 +45,8 @@ def main() -> None:
 
     metrics = serial.metrics()
     print("\nkey metrics (serial run):")
-    for name in ("engine.paths_completed", "solver.queries", "cache.hits",
-                 "cache.stores", "solver.incremental_hits"):
+    for name in ("engine.paths_completed", "solver.queries",
+                 "solver.cex_reuses", "solver.incremental_hits"):
         if name in metrics:
             print(f"  {name} = {metrics[name]}")
 

@@ -15,8 +15,10 @@ set of reachable paths is):
   :class:`~repro.parallel.snapshot.StateSnapshot` images, and
 - the strategy RNG state and run counters.
 
-Solver model caches are not persisted: a resumed run starts with empty
-caches, which costs solver work but never changes a verdict.
+Solver state (each solver's recent models) is not persisted: a resumed
+run starts without it, which costs solver work but never changes a
+verdict.  Torn frames are counted here; the engine logs one
+``repro.checkpoint`` warning when it resumes past them.
 
 On-disk format: length-prefixed pickled frames, each
 ``(MAGIC, kind, payload)``.  Saves go through a temp file + ``fsync`` +

@@ -10,6 +10,7 @@ high-level path yields a *high-level* test case.
 
 from __future__ import annotations
 
+import logging
 import random
 import time
 from dataclasses import dataclass, field
@@ -44,6 +45,8 @@ from repro.obs.metrics import split_prefixed
 from repro.obs.telemetry import Telemetry
 from repro.solver.backend import SolverBackend
 from repro.solver.csp import make_default_solver
+
+_log = logging.getLogger("repro.checkpoint")
 
 
 @dataclass
@@ -221,6 +224,9 @@ class Chef:
         if ckpt.corrupt_frames_skipped:
             registry.counter("checkpoint.corrupt_frames_skipped").inc(
                 ckpt.corrupt_frames_skipped
+            )
+            _log.warning(
+                "resumed past %d torn checkpoint frame(s)", ckpt.corrupt_frames_skipped
             )
 
     def _program_blob(self) -> bytes:
@@ -425,7 +431,7 @@ class Chef:
                 duration=duration,
                 timeline=list(self._timeline),
                 engine_stats=self.ll.stats.as_dict(),
-                solver_stats=self._solver_stats(),
+                solver_stats=self.solver.stats.as_dict(),
                 cfg_nodes=self.cfg.node_count(),
                 cfg_edges=self.cfg.edge_count(),
                 tree_nodes=self.tree.node_count(),
@@ -549,9 +555,6 @@ class Chef:
         # Chef.telemetry.metrics() answers for the whole run, and the
         # legacy RunResult dicts below are prefix views of that snapshot.
         self.telemetry.adopt_snapshot(merged)
-        solver_stats = split_prefixed(merged, "solver")
-        for key, value in split_prefixed(merged, "cache").items():
-            solver_stats[f"cache_{key}"] = value
         yield MetricsUpdated(metrics=self.telemetry.metrics())
         yield RunFinished(
             result=RunResult(
@@ -561,7 +564,7 @@ class Chef:
                 duration=duration,
                 timeline=list(self._timeline),
                 engine_stats=split_prefixed(merged, "engine"),
-                solver_stats=solver_stats,
+                solver_stats=split_prefixed(merged, "solver"),
                 cfg_nodes=self.cfg.node_count(),
                 cfg_edges=self.cfg.edge_count(),
                 tree_nodes=self.tree.node_count(),
@@ -674,17 +677,6 @@ class Chef:
                     break
                 batch.append(handle.snapshot)
         return batch
-
-    def _solver_stats(self) -> Dict[str, int]:
-        """Backend counters plus the model-cache activity of this run.
-
-        The ``cache_*`` keys come from the telemetry view of the solver's
-        own cache, which counts on the solver's registry.
-        """
-        stats = dict(self.solver.stats.as_dict())
-        for key, value in split_prefixed(self.telemetry.metrics(), "cache").items():
-            stats[f"cache_{key}"] = value
-        return stats
 
     def _budget_reason(self) -> Optional[str]:
         """Which budget stopped exploration, or None while in budget."""

@@ -280,7 +280,7 @@ class LowLevelEngine:
             solver if solver is not None else make_default_solver(telemetry=telemetry)
         )
         # One metrics() view per engine: adopt the registry of a
-        # caller-supplied solver (its model cache counts there too).
+        # caller-supplied solver.
         solver_registry = getattr(getattr(self.solver, "stats", None), "registry", None)
         if solver_registry is not None:
             telemetry.adopt_registry(solver_registry)
@@ -446,12 +446,10 @@ class LowLevelEngine:
             if candidate.terminated():
                 records.append(path_record_of(candidate))
             states_run += 1
-        cache = getattr(self.solver, "cache", None)
         return ExploreResult(
             records=records,
             engine_stats=self.stats.as_dict(),
             solver_stats=self.solver.stats.as_dict() if hasattr(self.solver, "stats") else {},
-            cache_stats=cache.stats_dict() if hasattr(cache, "stats_dict") else {},
             workers=1,
             batches=0,
             states_run=states_run,

@@ -3,9 +3,8 @@
 Three pieces, layered so any component can use the cheap parts alone:
 
 - :mod:`repro.obs.metrics` — typed counters/gauges/histograms in a
-  :class:`MetricsRegistry`; the single store behind ``SolverStats``,
-  ``EngineStats`` and the :class:`~repro.solver.cache.ModelCache`
-  counters.  Always on.
+  :class:`MetricsRegistry`; the single store behind ``SolverStats``
+  and ``EngineStats``.  Always on.
 - :mod:`repro.obs.telemetry` — the :class:`Telemetry` context (one
   registry + one span tracer), threaded explicitly per engine; span
   tracing is opt-in and a no-op costs one branch.

@@ -3,15 +3,14 @@
 This is the data half of the observability subsystem (the span tracer
 lives in :mod:`repro.obs.telemetry`).  A :class:`MetricsRegistry` owns
 every metric of one engine context; the ad-hoc counter dicts that used
-to be hand-rolled in ``solver/csp.py`` (``SolverStats``),
-``solver/cache.py`` (``ModelCache``) and ``lowlevel/executor.py``
-(``EngineStats``) are now thin attribute views over registry counters,
+to be hand-rolled in ``solver/csp.py`` (``SolverStats``) and
+``lowlevel/executor.py`` (``EngineStats``) are now thin attribute views over registry counters,
 so *one* registry holds the numbers every layer reports — benchmarks,
 ``Session.metrics()`` and the parallel coordinator all read the same
 store instead of re-plumbing their own dicts.
 
 Naming convention: dotted ``<component>.<counter>`` names
-(``solver.queries``, ``cache.hits``, ``engine.forks``,
+(``solver.queries``, ``solver.cex_reuses``, ``engine.forks``,
 ``span.solver.check``); :func:`split_prefixed` recovers the legacy
 per-component dicts from a snapshot.
 
@@ -224,9 +223,8 @@ def split_prefixed(snapshot: Dict, prefix: str) -> Dict:
 def counter_property(field: str) -> property:
     """Attribute view over ``self._counters[field]``.
 
-    The stats classes (``SolverStats``, ``EngineStats``) and
-    :class:`~repro.solver.cache.ModelCache` keep their historical
-    ``stats.queries``-style attributes; reads return the plain int and
+    The stats classes (``SolverStats``, ``EngineStats``) keep their
+    historical ``stats.queries``-style attributes; reads return the plain int and
     writes (including ``+=``) update the registry counter, so existing
     call sites and tests keep working against the one true store.
     """

@@ -29,7 +29,7 @@ REQUIRED_NONZERO = (
     "engine.instrs_executed",
     "solver.queries",
     "solver.sat",
-    "cache.stores",
+    "solver.cex_reuses",
     "span.solver.check",
     "span.engine.run_path",
 )

@@ -1,7 +1,7 @@
 """Sharded parallel exploration across worker processes.
 
 The frontier of pending states is read-mostly by design (share-structure
-``ConstraintSet`` chains; each solver owns its ``ModelCache``), so it
+``ConstraintSet`` chains; each solver keeps its own recent models), so it
 shards: a coordinator pops batches of pending states, ships them to
 persistent pool workers as batch-encoded portable snapshots through a
 shared work-stealing task queue, and deterministically merges the

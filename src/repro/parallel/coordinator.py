@@ -9,7 +9,7 @@ current one, so a single deep path no longer serializes the round — and
 merges the results **in chunk order**: the merged record stream and the
 frontier contents are a deterministic function of the frontier
 sequence, independent of which worker ran which chunk.  Each worker's
-solver keeps its own model cache; nothing is shipped between them.
+solver keeps its own recent models; nothing is shipped between them.
 
 The pool outlives the explorer, and since the service daemon landed the
 lease is **round-scoped**: ``start()`` acquires the pool just long
@@ -54,24 +54,26 @@ one swimlane per worker process next to the coordinator's.  Metric
 aggregation keeps only the *latest* snapshot per worker pid (snapshots
 are cumulative, and the shared FIFO task queue means one pid's chunk
 results arrive in chronological order) and merges them on demand; the
-legacy ``engine_stats`` / ``solver_stats`` / ``cache_stats`` dicts are
+legacy ``engine_stats`` / ``solver_stats`` dicts are
 prefix-split views of the one merged snapshot.
 
 For exhaustive runs the set of explored paths is identical to a serial
-run: feasibility verdicts do not depend on cache content, only the
-order of discovery does.  One caveat on *witness inputs*: when a branch
-atom admits several models and the parent's inherited model does not
-already satisfy it, the concrete model a state ends up with can come
-from a component-cache hit — and worker-local cache contents depend on
-which chunks a worker process happened to steal.  The path *structure*
-(`path_key`, status) is always scheduling-independent; input-level
-identity additionally holds when suffix atoms are either satisfied by
-inherited models or uniquely determined (as in the CI workloads, which
-assert full `PathRecord.identity()` equality).
+run: feasibility verdicts do not depend on which models a solver has
+seen, only the order of discovery does.  One caveat on *witness
+inputs*: when a branch atom admits several models and the parent's
+inherited model does not already satisfy it, the concrete model a state
+ends up with can come from counterexample reuse of a recent model — and
+a worker's recent models depend on which chunks it happened to steal.
+The path *structure* (`path_key`, status) is always
+scheduling-independent; input-level identity additionally holds when
+suffix atoms are either satisfied by inherited models or uniquely
+determined (as in the CI workloads, which assert full
+`PathRecord.identity()` equality).
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -91,11 +93,12 @@ from repro.parallel.worker import WorkerResult
 from repro.solver.constraints import ConstraintSet
 from repro.solver.csp import DEFAULT_BUDGET
 
+_log = logging.getLogger("repro.parallel")
+
 #: legacy stat-dict name → metric-name prefix in the merged snapshot.
 _STAT_PREFIXES = {
     "engine_stats": "engine",
     "solver_stats": "solver",
-    "cache_stats": "cache",
 }
 
 
@@ -183,7 +186,6 @@ class ExploreResult:
     records: List[PathRecord] = field(default_factory=list)
     engine_stats: Dict[str, int] = field(default_factory=dict)
     solver_stats: Dict[str, int] = field(default_factory=dict)
-    cache_stats: Dict[str, int] = field(default_factory=dict)
     #: merged dotted-name metrics snapshot across all workers (the
     #: ``*_stats`` dicts above are prefix-split views of this).
     metrics: Dict = field(default_factory=dict)
@@ -507,6 +509,9 @@ class ParallelExplorer:
                     crash_counts[id(snap)] = count
                     if count >= self.quarantine_threshold:
                         registry.counter("recovery.quarantined_states").inc()
+                        _log.warning(
+                            "quarantined a state after %d worker crashes", count
+                        )
                         if self.on_quarantine is not None:
                             self.on_quarantine(snap, count)
                         continue
@@ -515,6 +520,10 @@ class ParallelExplorer:
                     next_position += 1
                     requeued += 1
             registry.counter("recovery.requeued_chunks").inc(requeued)
+            if requeued:
+                _log.warning(
+                    "worker pool crashed (%s); requeued %d states", crashed, requeued
+                )
         # -- deterministic reassembly & merge ------------------------------
         by_orig: Dict[int, List[Tuple[int, WorkerResult]]] = {}
         for position, result in collected.items():
@@ -599,7 +608,6 @@ class ParallelExplorer:
             records=records,
             engine_stats=split_prefixed(merged, "engine"),
             solver_stats=split_prefixed(merged, "solver"),
-            cache_stats=split_prefixed(merged, "cache"),
             metrics=merged,
             workers=self.workers,
             batches=self.batches,
@@ -626,8 +634,8 @@ class ParallelExplorer:
     def aggregate(self, kind: str) -> Dict[str, int]:
         """Legacy counter-dict view of :meth:`merged_metrics`.
 
-        ``kind`` is one of ``engine_stats`` / ``solver_stats`` /
-        ``cache_stats`` — the prefix-split slice of the merged snapshot.
+        ``kind`` is ``engine_stats`` or ``solver_stats`` — the
+        prefix-split slice of the merged snapshot.
         """
         return split_prefixed(self.merged_metrics(), _STAT_PREFIXES[kind])
 

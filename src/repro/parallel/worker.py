@@ -7,7 +7,7 @@ per-process engine for a new run, chunk tasks from the shared
 work-stealing queue execute batches of snapshots.  A configured worker
 owns a private :class:`LowLevelEngine` (same program image — cached by
 content digest across configures — same symbolic-variable namespace as
-the coordinator, and a solver with its own model cache) and one
+the coordinator, and a solver with its own recent models) and one
 :class:`~repro.obs.telemetry.Telemetry` context whose lane is
 ``worker-<pid>``.
 

@@ -15,7 +15,7 @@ typed :mod:`repro.api.events` stream crosses the socket as JSON lines
 (see :mod:`repro.service.protocol`).
 
 Sessions share the pool, never solver state: every session's solvers
-own their model caches, so a warm second run of a target re-solves its
+keep their own recent models, so a warm second run of a target re-solves its
 queries and produces the same path-event multiset as the cold run.
 
 Observability: one service-wide telemetry context (``service.*``

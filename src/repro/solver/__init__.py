@@ -8,15 +8,13 @@ The layer is split along the seam a real SMT solver would drop into:
 - :mod:`repro.solver.backend` — the :class:`SolverBackend` protocol
   (``check``/``max_value`` over constraint sets) all consumers target,
 - :mod:`repro.solver.csp` — the built-in finite-domain backend
-  (interval propagation + backtracking search),
-- :mod:`repro.solver.cache` — the component-sliced
-  counterexample/model cache each backend owns,
+  (interval propagation + backtracking search, with counterexample
+  reuse of its own recent models),
 - :mod:`repro.solver.interval` — interval arithmetic used for domain
   propagation and the ``upper_bound`` guest API.
 """
 
 from repro.solver.backend import CheckResult, SAT, SolverBackend, UNKNOWN, UNSAT
-from repro.solver.cache import ModelCache
 from repro.solver.constraints import ConstraintSet
 from repro.solver.csp import CspSolver, SolverStats, make_default_solver
 from repro.solver.interval import Interval, interval_eval
@@ -26,7 +24,6 @@ __all__ = [
     "ConstraintSet",
     "CspSolver",
     "Interval",
-    "ModelCache",
     "SAT",
     "SolverBackend",
     "SolverStats",

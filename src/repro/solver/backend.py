@@ -52,8 +52,7 @@ class SolverBackend(ABC):
     """Interface every constraint-solver backend implements.
 
     Implementations expose a ``stats`` attribute with an ``as_dict()``
-    method (counters reported by benchmarks) and may expose a ``cache``
-    attribute (its own :class:`~repro.solver.cache.ModelCache`).
+    method (counters reported by benchmarks).
 
     Observability contract (optional but recommended): keep the stats
     counters in a :class:`~repro.obs.metrics.MetricsRegistry` exposed

@@ -11,15 +11,16 @@ variables; the solver decides satisfiability by:
    atoms against the ancestor's model (the incremental fast path),
 2. normalising atoms to literal form (conditions compared with 0
    unwrapped, truthy conjunctions split),
-3. splitting the query into independent connected components, adopting
-   the ancestor model wholesale for components no new atom touches
-   (independence slicing) and consulting the solver's own
-   :class:`~repro.solver.cache.ModelCache` per component,
-4. alternating single-variable domain tightening with boolean unit
+3. splitting the query into independent connected components and
+   adopting the ancestor model wholesale for components no new atom
+   touches (independence slicing),
+4. counterexample reuse: trying the hint and the solver's last eight
+   models on each remaining component before searching it,
+5. alternating single-variable domain tightening with boolean unit
    propagation, which refutes contradictory components with no search
    (clauses are never resolved against each other, so
    ``(x==180 or y!=180) and (x==180 or y==180)`` is left to search),
-5. depth-first search with concrete checks, interval pruning and
+6. depth-first search with concrete checks, interval pruning and
    forward checking.
 
 Search effort is budgeted in deterministic *steps*; exceeding the budget
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -55,7 +57,6 @@ from repro.lowlevel.expr import (
     negate_condition,
 )
 from repro.solver.backend import CheckResult, SAT, SolverBackend, UNKNOWN, UNSAT
-from repro.solver.cache import ModelCache, UNSAT as UNSAT_ENTRY
 from repro.solver.constraints import ConstraintSet
 from repro.solver.interval import Interval, interval_eval
 
@@ -72,10 +73,10 @@ Constraints = Union[ConstraintSet, Sequence]
 
 #: Counter fields, registered as ``solver.<field>`` in the obs registry.
 #: ``incremental_hits`` counts queries answered (fully or partly) from a
-#: known ancestor model; ``component_cache_hits`` counts components
-#: resolved from the solver's model cache; ``atoms_sliced`` counts
-#: atoms never (re)solved because independence slicing adopted the
-#: ancestor model for their whole component.
+#: known ancestor model; ``cex_reuses`` counts components answered by
+#: the hint or a recent model; ``atoms_sliced`` counts atoms never (re)solved
+#: because independence slicing adopted the ancestor model for their
+#: whole component.
 _STAT_FIELDS = (
     "queries",
     "sat",
@@ -86,9 +87,11 @@ _STAT_FIELDS = (
     "cex_reuses",
     "max_value_queries",
     "incremental_hits",
-    "component_cache_hits",
     "atoms_sliced",
 )
+
+#: How many recent models counterexample reuse tries per component.
+_RECENT_MODELS = 8
 
 #: How many search steps run between wall-clock deadline checks — the
 #: deadline is a degradation bound, not a precise timer, and checking
@@ -445,12 +448,11 @@ def _holds(atom, env: Dict[str, int], memo: dict) -> bool:
 class CspSolver(SolverBackend):
     """Finite-domain solver over symbolic input variables.
 
-    Every instance owns its :class:`~repro.solver.cache.ModelCache`,
-    registered on the solver's telemetry registry, so two solvers never
-    share a verdict.  ``incremental=False`` reproduces the seed's
-    solve-from-scratch behaviour: no known-model reads, no chain
-    annotation, no ancestor fast path, no independence slicing (used for
-    A/B measurement and regression tests).
+    Every instance keeps its own last few models for counterexample
+    reuse, so two solvers never share an answer.  ``incremental=False``
+    reproduces the seed's solve-from-scratch behaviour: no known-model
+    reads, no chain annotation, no ancestor fast path, no independence
+    slicing (used for A/B measurement and regression tests).
     """
 
     def __init__(
@@ -465,7 +467,8 @@ class CspSolver(SolverBackend):
         self.incremental = incremental
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.stats = SolverStats(self.telemetry.registry)
-        self.cache = ModelCache(registry=self.telemetry.registry)
+        #: most recent models last; counterexample reuse reads them all.
+        self._recent: "deque[Dict[str, int]]" = deque(maxlen=_RECENT_MODELS)
         #: per-query wall-clock deadline (seconds; None = unbounded).
         #: Expiry surfaces as UNKNOWN from :meth:`check` and a
         #: :class:`~repro.errors.SolverDeadline` from :meth:`solve`,
@@ -662,7 +665,7 @@ class CspSolver(SolverBackend):
                 stats.sat += 1
                 stats.incremental_hits += 1
                 cs.note_model(env)
-                self.cache.remember_solution(env)
+                self._recent.append(dict(env))
                 return dict(env)
 
         components = self._split_components(atoms, domains)
@@ -699,38 +702,22 @@ class CspSolver(SolverBackend):
             pending.append(comp)
         for comp in pending:
             comp_domains = {n: domains[n] for n in comp.names}
-            key = ModelCache.key_for(comp.constraints)
-            cached = self.cache.lookup(key) if comp.constraints else None
-            if cached is not None:
-                _kind, result = cached
-                if result == UNSAT_ENTRY:
-                    stats.component_cache_hits += 1
-                    unsat = True
-                    break
-                adopted = self._adopt_model(result, comp_domains)
-                if adopted is not None:
-                    stats.component_cache_hits += 1
-                    solution.update(adopted)
-                    continue
             # Counterexample reuse: try recent solutions before searching.
-            reuse = self._try_recent_solutions(
+            result = self._try_recent_solutions(
                 list(comp.constraints), comp_domains, merged_hint
             )
-            if reuse is not None:
+            if result is not None:
                 stats.cex_reuses += 1
-                self.cache.store(key, dict(reuse))
-                solution.update(reuse)
-                continue
-            result, used = self._search_component(
-                comp, comp_domains, merged_hint, step_budget - steps_used
-            )
-            steps_used += used
-            stats.search_steps += used
-            if result is None:
-                self.cache.store(key, UNSAT_ENTRY)
-                unsat = True
-                break
-            self.cache.store(key, dict(result))
+            else:
+                result, used = self._search_component(
+                    comp, comp_domains, merged_hint, step_budget - steps_used
+                )
+                steps_used += used
+                stats.search_steps += used
+                if result is None:
+                    unsat = True
+                    break
+            self._recent.append(dict(result))
             solution.update(result)
 
         if sliced:
@@ -743,7 +730,7 @@ class CspSolver(SolverBackend):
         stats.sat += 1
         if self.incremental:
             cs.note_model(dict(solution))
-        self.cache.remember_solution(solution)
+        self._recent.append(dict(solution))
         return dict(solution)
 
     def _check_deadline(self) -> None:
@@ -808,7 +795,7 @@ class CspSolver(SolverBackend):
         candidates = []
         if hint:
             candidates.append(hint)
-        candidates.extend(self.cache.candidate_solutions()[:8])
+        candidates.extend(reversed(self._recent))
         for candidate in candidates:
             env = {}
             ok = True
@@ -972,7 +959,7 @@ def make_default_solver(
     deadline_s: Optional[float] = None,
     faults=None,
 ) -> CspSolver:
-    """Factory used by the engine; the solver owns a fresh model cache.
+    """Factory used by the engine; the solver starts with no recent models.
 
     ``telemetry`` shares the caller's observability context (registry +
     tracer) so solver counters land in the engine's one registry.

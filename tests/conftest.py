@@ -6,8 +6,8 @@ between tests:
 - the ``Sym`` registry (variable name → domain),
 - the expression intern table (structural identity is object identity).
 
-Solver model caches are per solver and key on the atoms themselves, so
-they need no reset.  The autouse fixture resets both after every test.
+Each solver keeps its own recent models (variable name to value), so
+there is no solver state to reset.  The autouse fixture resets both after every test.
 """
 
 from __future__ import annotations

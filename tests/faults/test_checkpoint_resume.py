@@ -9,6 +9,7 @@ prefix recovery with the damage counted.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import pickle
@@ -226,7 +227,7 @@ class TestTornCheckpoint:
         assert ckpt.frontier == [b"snap-a", b"snap-b"]
         assert ckpt.corrupt_frames_skipped == 1
 
-    def test_fault_injected_torn_save_still_resumes(self, tmp_path):
+    def test_fault_injected_torn_save_still_resumes(self, tmp_path, caplog):
         """Every save torn by the plan; resume recovers a valid prefix."""
         ckpt_dir = str(tmp_path / "ckpt")
         session, events = _run_to_events(
@@ -237,12 +238,16 @@ class TestTornCheckpoint:
             fault_plan=FaultPlan(truncate_tail_bytes=7, truncate_writes=99),
         )
         assert session.result.ll_paths == 8  # tearing never hurt the run
-        resumed = SymbolicSession.resume(ckpt_dir)
-        resumed_events = list(resumed.events())
+        with caplog.at_level(logging.WARNING, logger="repro.checkpoint"):
+            resumed = SymbolicSession.resume(ckpt_dir)
+            resumed_events = list(resumed.events())
         assert isinstance(resumed_events[-1], RunFinished)
         metrics = resumed.metrics()
         assert metrics.get("checkpoint.resumes") == 1
         assert metrics.get("checkpoint.corrupt_frames_skipped", 0) >= 1
+        (message,) = [r.getMessage() for r in caplog.records if r.name == "repro.checkpoint"]
+        skipped = metrics["checkpoint.corrupt_frames_skipped"]
+        assert message == f"resumed past {skipped} torn checkpoint frame(s)"
         # Whatever the tear cost, the resumed multiset never exceeds the
         # crash-free one.
         full = _found_multiset(events)

@@ -10,6 +10,7 @@ states are quarantined instead of wedging the run in a crash loop.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 from collections import Counter
 
@@ -55,12 +56,13 @@ def _run_campaign(fault_plan=None, **config_overrides):
 
 
 class TestKillRecovery:
-    def test_worker_kill_preserves_path_multiset(self):
+    def test_worker_kill_preserves_path_multiset(self, caplog):
         baseline, base_events = _run_campaign()
         close_shared_pools()  # injected run gets its own pool lifecycle
-        injected, inj_events = _run_campaign(
-            fault_plan=FaultPlan.from_seed(9, kill_chunk=_KILL)
-        )
+        with caplog.at_level(logging.WARNING, logger="repro.parallel"):
+            injected, inj_events = _run_campaign(
+                fault_plan=FaultPlan.from_seed(9, kill_chunk=_KILL)
+            )
 
         def multiset(events):
             return Counter(
@@ -76,6 +78,8 @@ class TestKillRecovery:
         assert metrics.get("recovery.requeued_chunks", 0) > 0
         assert metrics.get("recovery.quarantined_states", 0) == 0
         assert baseline.metrics().get("recovery.worker_crashes", 0) == 0
+        messages = [r.getMessage() for r in caplog.records if r.name == "repro.parallel"]
+        assert messages and all("requeued" in m for m in messages), messages
 
     def test_worker_kill_leaves_no_zombie_children(self):
         _session, _events = _run_campaign(
@@ -116,12 +120,13 @@ class TestKillRecovery:
 
 
 class TestQuarantine:
-    def test_repeat_offender_state_is_quarantined(self):
+    def test_repeat_offender_state_is_quarantined(self, caplog):
         """A state that keeps killing workers is dropped, not retried forever."""
-        session, events = _run_campaign(
-            fault_plan=FaultPlan(kill_chunk=(1, 0), kill_attempts=99),
-            quarantine_threshold=2,
-        )
+        with caplog.at_level(logging.WARNING, logger="repro.parallel"):
+            session, events = _run_campaign(
+                fault_plan=FaultPlan(kill_chunk=(1, 0), kill_attempts=99),
+                quarantine_threshold=2,
+            )
         quarantined = [e for e in events if isinstance(e, StateQuarantined)]
         assert len(quarantined) == 1
         assert quarantined[0].crashes == 2
@@ -129,6 +134,10 @@ class TestQuarantine:
         metrics = session.metrics()
         assert metrics.get("recovery.quarantined_states") == 1
         assert metrics.get("recovery.worker_crashes") == 2
+        messages = [r.getMessage() for r in caplog.records if r.name == "repro.parallel"]
+        assert [m for m in messages if "quarantined" in m] == [
+            "quarantined a state after 2 worker crashes"
+        ]
         # The rest of the frontier still completes; only the offender's
         # subtree is lost.
         assert 0 < session.result.ll_paths < _PATHS

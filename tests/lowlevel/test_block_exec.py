@@ -216,11 +216,15 @@ def test_exploration_matches_the_stepper(program):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(programs())
 def test_every_budget_lands_exactly(program):
+    # The path length comes from a third engine: the two under test must
+    # issue the same solver queries in the same order, because a solver
+    # reuses its recent models and so answers by its query history.
+    measure = _engine(program)
+    full = measure.new_state()
+    _stepped_run(measure, full, _CAP)
+    length = full.instr_count
     blocked = _engine(program)
     stepped = _engine(program)
-    full = stepped.new_state()
-    _stepped_run(stepped, full, _CAP)
-    length = full.instr_count
     for budget in range(length + 1):
         state = blocked.new_state()
         pending = blocked.run_path(state, max_instrs=budget)

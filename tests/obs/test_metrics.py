@@ -103,9 +103,9 @@ class TestSnapshotAlgebra:
         assert merged == {"a": 1, "b": 2}
 
     def test_split_prefixed_strips_prefix(self):
-        snap = {"solver.queries": 5, "cache.hits": 2, "engine.forks": 1}
+        snap = {"solver.queries": 5, "parallel.ships": 2, "engine.forks": 1}
         assert split_prefixed(snap, "solver") == {"queries": 5}
-        assert split_prefixed(snap, "cache") == {"hits": 2}
+        assert split_prefixed(snap, "parallel") == {"ships": 2}
 
 
 class TestCounterProperty:

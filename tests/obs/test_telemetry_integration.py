@@ -109,7 +109,7 @@ class TestSessionMetricsSurface:
         metrics = session.metrics()
         assert metrics["solver.queries"] == result.solver_stats["queries"]
         assert metrics["solver.sat"] == result.solver_stats["sat"]
-        assert metrics["cache.hits"] == result.solver_stats["cache_hits"]
+        assert metrics["solver.cex_reuses"] == result.solver_stats["cex_reuses"]
         assert metrics["engine.forks"] == result.engine_stats["forks"]
 
     def test_disabled_trace_still_counts_metrics(self):

@@ -181,14 +181,40 @@ class TestBudget:
 
 
 class TestCaching:
-    def test_repeat_query_hits_cache(self):
+    def test_repeat_query_reuses_model_without_search(self):
         (x,) = _vars("cs_o", 1)
         solver = CspSolver()
         atom = mk_binop("eq", x, 9)
-        solver.solve([atom])
-        before = solver.cache.hits
-        solver.solve([atom])
-        assert solver.cache.hits == before + 1
+        assert solver.solve([atom]) == {"cs_o_0": 9}
+        searched, reused = solver.stats.search_steps, solver.stats.cex_reuses
+        assert solver.solve([atom]) == {"cs_o_0": 9}
+        assert solver.stats.search_steps == searched
+        assert solver.stats.cex_reuses == reused + 1
+
+    def test_recent_models_bounded(self):
+        (x,) = _vars("cs_t", 1)
+        solver = CspSolver()
+        for v in range(12):
+            solver.solve([mk_binop("eq", x, v)])
+        # Each query leaves its model twice (the component's and the whole
+        # solution), so the eight kept models are the last four queries'.
+        reused = solver.stats.cex_reuses
+        solver.solve([mk_binop("eq", x, 8)])
+        assert solver.stats.cex_reuses == reused + 1
+        searched = solver.stats.search_steps
+        solver.solve([mk_binop("eq", x, 7)])
+        assert solver.stats.cex_reuses == reused + 1
+        assert solver.stats.search_steps > searched
+
+    def test_two_solvers_never_share_a_model(self):
+        x = Sym("cs_solo", 0, 255)
+        atoms = [mk_binop("eq", mk_binop("mul", x, 3), 42)]
+        first, second = CspSolver(), CspSolver()
+        assert first.solve(atoms) == {"cs_solo": 14}
+        assert first.stats.search_steps > 0
+        assert second.solve(atoms) == {"cs_solo": 14}
+        assert second.stats.search_steps > 0  # solved itself, no shared model
+        assert second.stats.cex_reuses == 0
 
     def test_counterexample_reuse(self):
         x, y = _vars("cs_p", 2)

@@ -6,7 +6,7 @@ once, as bitsets (bit ``x*256 + y`` stands for one assignment), and
 answers a query with bitwise operations on those sets: no solver code,
 no interval reasoning, no ``evaluate``.
 
-Two tiers:
+Three tiers:
 
 - **soundness** over a depth-3 ``land``/``lor``/``lnot``/``== 0``/``!= 0``
   grammar of comparisons among ``x``, ``y`` and constants: a model must
@@ -15,7 +15,15 @@ Two tiers:
 - **completeness** on conjunctions of up to six literals (comparisons
   between two of ``x``, ``y``, ``x+c``, ``y+c`` and a constant, in
   either order, optionally wrapped) and single-variable range clauses
-  ``lnot(v >= a land v <= b)``: the solver must never answer UNKNOWN.
+  ``lnot(v >= a land v <= b)``: the solver must never answer UNKNOWN;
+- **cross-query soundness** on whole query sequences through one shared
+  solver, the way the engine issues them: fork-style
+  ``ConstraintSet.append`` chains (both sides of a branch, extended only
+  from satisfiable sets) mixed with repeats of earlier queries, as the
+  same set and as a fresh chain.  That drives the paths a fresh solver
+  per query never reaches: the known-model answer, the suffix re-check
+  against an ancestor model, independence slicing and recent-model
+  reuse.  Every verdict is checked against the whole chain.
 """
 
 from __future__ import annotations
@@ -34,8 +42,10 @@ from repro.lowlevel.expr import (
     evaluate,
     mk_binop,
     mk_unop,
+    negate_condition,
 )
 from repro.solver.backend import SAT, UNKNOWN, UNSAT
+from repro.solver.constraints import ConstraintSet
 from repro.solver.csp import CspSolver
 
 _X, _Y = "orc_x", "orc_y"
@@ -118,23 +128,29 @@ def _truth(v) -> int:
     return _compare("ne", affine[0], affine[1], -affine[2])
 
 
-def _check(atoms, allow_unknown: bool) -> None:
-    result = CspSolver().check(atoms)
+def _check(atoms, allow_unknown: bool, solver=None) -> str:
+    """Ask ``solver`` (a fresh one by default) and compare with enumeration.
+
+    ``atoms`` is a list or a ``ConstraintSet``; returns the verdict.
+    """
+    result = (solver or CspSolver()).check(atoms)
+    atoms = list(atoms)
     truth = _ALL
     for atom in atoms:
         truth &= _truth(atom)
     if result.status == UNKNOWN:
         assert allow_unknown, f"UNKNOWN on {atoms}"
-        return
+        return UNKNOWN
     if result.status == UNSAT:
         assert truth == 0, f"UNSAT but satisfiable: {atoms}"
-        return
+        return UNSAT
     assert result.status == SAT
     env = {_X: 0, _Y: 0}
     env.update(result.model)
     for atom in atoms:
         assert evaluate(atom, env) != 0, (atom, env)
     assert truth >> (env[_X] * 256 + env[_Y]) & 1, (atoms, env)
+    return SAT
 
 
 def _vars():
@@ -214,6 +230,37 @@ def _range_clause(draw):
 @given(atoms=st.lists(st.one_of(_literal(), _range_clause()), min_size=1, max_size=6))
 def test_literal_conjunctions_never_unknown(atoms):
     _check(atoms, allow_unknown=False)
+
+
+# -- tier (c): query sequences through one shared solver --------------------
+
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["fork", "fork", "repeat", "requery"]),
+        st.integers(0, 63),
+        st.one_of(_literal(), _range_clause(), _nested(1)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(steps=_steps)
+def test_query_sequences_through_one_solver_agree_with_enumeration(steps):
+    solver = CspSolver()
+    sat_sets = [ConstraintSet.empty()]
+    for kind, pick, atom in steps:
+        cs = sat_sets[pick % len(sat_sets)]
+        if kind == "repeat":  # the same set again: its known model answers
+            _check(cs, allow_unknown=True, solver=solver)
+        elif kind == "requery":  # equal atoms, fresh chain: no known model
+            _check(ConstraintSet.from_atoms(cs.atoms()), allow_unknown=True, solver=solver)
+        else:  # a branch: query both sides, keep the satisfiable ones
+            for side in (atom, negate_condition(atom)):
+                child = cs.append(side)
+                if _check(child, allow_unknown=True, solver=solver) == SAT:
+                    sat_sets.append(child)
 
 
 def test_swapped_equality_against_its_negation_is_unsat_without_search():

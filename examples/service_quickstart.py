@@ -1,17 +1,14 @@
-"""Service quickstart: a daemon, two concurrent tenants, one warm pool.
+"""Service quickstart: a daemon, two concurrent tenants, a warm re-run.
 
 Starts a :class:`ChefService` in a background thread (in production
 you'd run ``python -m repro.service serve --socket ... &``), then:
 
 - runs TWO sessions of the same branchy Clay target *concurrently*
   through the daemon and shows that their path-event multisets are
-  identical to each other — the per-tenant determinism contract — and
-  that the Program image shipped to the shared worker pool exactly
-  once (``program_ships == 1``: tenants share warm workers, not just
-  a socket);
+  identical to each other — the per-tenant determinism contract.  Each
+  session explores serially inside the daemon process;
 - runs the same target again (a "warm" tenant) and shows that it
-  produces the identical path-event multiset, on the same warm workers
-  and without shipping the program again.
+  produces the identical path-event multiset.
 
 Run:  python examples/service_quickstart.py
 """
@@ -27,7 +24,6 @@ from repro.service.protocol import path_event_multiset
 workdir = tempfile.mkdtemp(prefix="repro-service-")
 config = ServiceConfig(
     socket_path=f"{workdir}/repro.sock",
-    workers=2,
     max_sessions=8,
     max_time_budget=60.0,
 )
@@ -44,7 +40,7 @@ while True:  # wait for the socket to come up
 
 source = branchy_source(4)  # 16 feasible paths
 
-# -- two concurrent tenants, one shared pool -----------------------------------
+# -- two concurrent tenants ----------------------------------------------------
 outcomes = {}
 
 
@@ -64,22 +60,16 @@ for t in threads:
     outcomes["bob"],
 )
 assert alice_paths == bob_paths, "per-tenant determinism contract"
-stats = client.stats()
 print(
     f"concurrent tenants: {alice_result['ll_paths']} paths each, "
-    f"identical path multisets; pool spawned {stats['pool']['spawns']} "
-    f"workers, shipped the program {stats['pool']['program_ships']}x"
+    f"identical path multisets"
 )
 
-# -- a warm third run repeats the same multiset on the warm pool ---------------
+# -- a warm third run repeats the same multiset --------------------------------
 warm_events, warm_result = client.run(clay=source)
 assert path_event_multiset(warm_events) == alice_paths, "warm run diverged"
-stats = client.stats()
-metrics = stats["metrics"]
-print(
-    f"warm run: {warm_result['ll_paths']} paths, identical path multiset; "
-    f"program shipped {stats['pool']['program_ships']}x in total"
-)
+metrics = client.stats()["metrics"]
+print(f"warm run: {warm_result['ll_paths']} paths, identical path multiset")
 print(f"sessions/sec so far: {metrics['service.sessions_per_sec']:.2f}")
 
 client.shutdown()

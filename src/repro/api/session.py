@@ -94,8 +94,11 @@ class SymbolicSession:
         language session.  ``worker_pool`` optionally pins parallel
         exploration to a caller-owned
         :class:`~repro.parallel.pool.WorkerPool` (the caller closes it);
-        by default runs lease the process-wide shared pool, which stays
-        warm between sessions — see :meth:`close_worker_pools`.
+        by default a run leases the process-wide shared pool for its
+        whole length, and the pool stays warm between sessions — see
+        :meth:`close_worker_pools`.  A run that finds it leased by
+        another run in this process gets a private pool, closed when
+        the run ends.
         """
         session = cls.__new__(cls)
         session._init_common(config, workers, solver, worker_pool, telemetry)
@@ -229,8 +232,7 @@ class SymbolicSession:
             # Unwind the Chef loop *now*, not at GC time: closing the
             # inner generator runs its finally/with blocks, so a
             # parallel run releases its worker-pool lease the moment the
-            # consumer walks away — the shared pool is immediately
-            # re-acquirable.
+            # consumer walks away.
             inner.close()
 
     def run(self) -> RunResult:
@@ -244,14 +246,14 @@ class SymbolicSession:
     async def aevents(self, max_buffer: int = 256):
         """Async twin of :meth:`events` for event-loop consumers.
 
-        The blocking Chef loop runs in a pump thread; events cross into
-        the loop through a bounded queue (``max_buffer`` is the
+        The blocking Chef loop runs in a pump thread (this is how the
+        service daemon runs every session); events cross into the loop
+        through a bounded queue (``max_buffer`` is the
         backpressure limit — a slow consumer stalls exploration instead
         of buffering it unboundedly).  Exceptions from the exploration
         re-raise at the ``async for`` site; abandoning the iterator
         (``aclose``, task cancellation) stops the pump and closes the
-        underlying stream, so the worker-pool lease unwinds exactly as
-        in :meth:`events`.
+        underlying stream exactly as in :meth:`events`.
         """
         import asyncio
         import threading

@@ -11,23 +11,16 @@ frontier contents are a deterministic function of the frontier
 sequence, independent of which worker ran which chunk.  Each worker's
 solver keeps its own recent models; nothing is shipped between them.
 
-The pool outlives the explorer, and since the service daemon landed the
-lease is **round-scoped**: ``start()`` acquires the pool just long
-enough to configure it (a small spec broadcast; the Program image ships
-only the first time the pool sees its content hash), and every round
-re-acquires it FIFO — so concurrent explorers in one process interleave
-rounds round-robin over one warm pool instead of spawning private
-pools.  If another session configured the pool in between, the next
-round detects it (``pool.active_run_id``) and re-broadcasts its own
-spec under its original run id: worker engines were rebuilt, so the
-explorer folds its cumulative per-worker metric slices into a base
-accumulator and continues.
+The pool outlives the explorer.  ``start()`` leases it for the whole
+run and configures it (a small spec broadcast; the Program image ships
+only the first time the pool sees its content hash); ``close()``
+releases it.
 
 Crash handling is **lost-chunk recovery**, not round abort: a dead
 worker raises :class:`~repro.parallel.pool.WorkerCrashError` carrying
 the chunk results the pool had already collected; those are folded
 exactly once (keyed by the dead pool's epoch, *before* the replacement
-pool reconfigures, so ``merged_metrics`` never double-counts a slice),
+pool is configured, so ``merged_metrics`` never double-counts a slice),
 and only the chunks still outstanding are requeued on the replacement
 pool — as singleton per-state work items, so a state that keeps
 killing workers can only take down the chunk it is alone in.  States
@@ -250,16 +243,16 @@ class ParallelExplorer:
         self._tele = telemetry.child("coordinator")
         #: externally-owned pool (bench harness); never closed/replaced here.
         self._external_pool = pool
+        #: the leased pool (None before start, and between a crash and
+        #: the replacement's lease) and whether it is a private one.
+        self._pool: Optional[WorkerPool] = None
+        self._transient = False
         self._run_id: Optional[int] = None
-        #: epoch of the pool our run_id was last configured on; a
-        #: different epoch on acquisition means a replacement pool.
-        self._pool_epoch: Optional[int] = None
         self._started = False
         self._latest_by_pid: Dict[Tuple[int, int], _WorkerSlice] = {}
-        #: metric snapshots folded in from worker generations that were
-        #: since reconfigured away (another session took the pool, or a
-        #: crash replaced it) — merged_metrics() sums these bases with
-        #: the live _latest_by_pid slices.
+        #: metric snapshots folded in from worker generations that a
+        #: crash replaced — merged_metrics() sums these bases with the
+        #: live _latest_by_pid slices.
         self._metric_bases: List[Dict] = []
         self._states_base = 0
         #: per-query wall-clock deadline shipped to worker solvers.
@@ -283,13 +276,7 @@ class ParallelExplorer:
     # -- pool lifecycle -------------------------------------------------------
 
     def start(self) -> "ParallelExplorer":
-        """Begin a run: warm-configure the pool.
-
-        The configure lease is released immediately — leases are
-        round-scoped, so between rounds the pool is free for other
-        sessions (this is what makes concurrent sessions round-robin
-        instead of serializing whole runs).
-        """
+        """Begin a run: lease the pool and configure it for this run."""
         if self._started:
             return self
         # A new run means freshly-reset worker engines: drop any
@@ -298,85 +285,63 @@ class ParallelExplorer:
         self._latest_by_pid.clear()
         self._metric_bases = []
         self._states_base = 0
-        self._run_id = None
-        self._pool_epoch = None
         self.batches = 0
+        self._lease()
         self._started = True
-        try:
-            pool = self._acquire_round()
-        except BaseException:
-            self._started = False
-            raise
-        self._release_round(pool)
         return self
 
     def close(self) -> None:
-        """End the run.
-
-        With round-scoped leases there is no held lease to release — the
-        pool was already free (and warm) the moment the last round's
-        results were collected.
-        """
+        """End the run and release the pool (a transient one is closed)."""
         if not self._started:
             return
         self._started = False
-        self._run_id = None
-        self._pool_epoch = None
+        self._release()
 
-    # -- round-scoped leasing --------------------------------------------------
+    # -- leasing ---------------------------------------------------------------
 
-    def _acquire_round(self) -> WorkerPool:
-        """Lease the pool for one round, (re)configuring it when needed."""
+    def _lease(self) -> None:
+        """Lease a pool and configure it for this run.
+
+        Configuring resets the worker engines, so whatever cumulative
+        metric slices we hold describe worker generations that no longer
+        exist (a crashed pool's): fold them into the base accumulator.
+        """
         if self._external_pool is not None:
-            pool = self._external_pool
+            pool, transient = self._external_pool, False
             if not pool.acquire():
                 if pool.broken:
                     raise WorkerCrashError("WorkerPool is broken (a worker died)")
-                raise RuntimeError("WorkerPool is closed")
+                raise RuntimeError("WorkerPool is closed or already leased")
         else:
-            pool, _ = acquire_pool(self.workers)
+            pool, transient = acquire_pool(self.workers)
+        self._pool, self._transient = pool, transient
         try:
-            self._ensure_configured(pool)
+            self._fold_metric_slices()
+            self._run_id = pool.configure(
+                self.program,
+                self.exec_config,
+                self.namespace,
+                self.solver_budget,
+                trace_hlpc=self.trace_hlpc,
+                trace=self.telemetry.enabled,
+                solver_deadline_s=self.solver_deadline_s,
+                fault_plan=self.fault_plan,
+            )
         except BaseException:
-            self._release_round(pool)
+            self._release()
             raise
-        return pool
-
-    def _release_round(self, pool: WorkerPool) -> None:
-        if pool is self._external_pool:
-            pool.release()
-        else:
-            release_pool(pool)
-
-    def _ensure_configured(self, pool: WorkerPool) -> None:
-        """Re-broadcast our spec unless the pool is still configured for us.
-
-        Reconfiguring resets the worker engines, so whatever cumulative
-        metric slices we hold describe worker generations that no longer
-        exist: fold them into the base accumulator.
-        """
-        if (
-            self._run_id is not None
-            and pool.active_run_id == self._run_id
-            and pool.epoch == self._pool_epoch
-        ):
-            return
-        self._fold_metric_slices()
-        self._run_id = pool.configure(
-            self.program,
-            self.exec_config,
-            self.namespace,
-            self.solver_budget,
-            trace_hlpc=self.trace_hlpc,
-            trace=self.telemetry.enabled,
-            run_id=self._run_id,
-            solver_deadline_s=self.solver_deadline_s,
-            fault_plan=self.fault_plan,
-        )
-        self._pool_epoch = pool.epoch
         registry = self.telemetry.registry
         registry.gauge("parallel.pool_spawns").set(pool.spawns)
         registry.gauge("parallel.program_ships").set(pool.program_ships)
+
+    def _release(self) -> None:
+        pool, self._pool, self._run_id = self._pool, None, None
+        if pool is None:
+            return
+        if pool is self._external_pool:
+            pool.release()
+        else:
+            release_pool(pool, self._transient)
 
     def _fold_metric_slices(self) -> None:
         if not self._latest_by_pid:
@@ -439,19 +404,16 @@ class ParallelExplorer:
         registry = self.telemetry.registry
         configure_failures = 0
         while outstanding:
-            # Lease per round: the pool is free for other sessions the
-            # moment our results are collected, and FIFO acquisition
-            # makes the interleaving round-robin fair.
-            try:
-                pool = self._acquire_round()
-            except WorkerCrashError:
-                if self._external_pool is not None:
-                    raise
-                configure_failures += 1
-                if configure_failures > 4:
-                    raise  # replacement pools keep dying at configure
-                continue  # registry hands out a replacement pool
+            if self._pool is None:  # the previous pool crashed
+                try:
+                    self._lease()
+                except WorkerCrashError:
+                    configure_failures += 1
+                    if configure_failures > 4:
+                        raise  # replacement pools keep dying at configure
+                    continue  # registry hands out a replacement pool
             configure_failures = 0
+            pool = self._pool
             epoch = pool.epoch
             crashed: Optional[WorkerCrashError] = None
             positions = sorted(outstanding)
@@ -473,8 +435,6 @@ class ParallelExplorer:
                     )
             except WorkerCrashError as exc:
                 crashed = exc
-            finally:
-                self._release_round(pool)
             if crashed is None:
                 for position, result in zip(positions, results):
                     self._fold_result(epoch, result)
@@ -484,7 +444,7 @@ class ParallelExplorer:
             # -- lost-chunk recovery ------------------------------------
             # Fold whatever the dead pool delivered before breaking,
             # keyed by the *dead* epoch and before the replacement pool
-            # reconfigures (which folds these slices into the metric
+            # is configured (which folds these slices into the metric
             # bases exactly once).
             for position, result in sorted(crashed.partial.items()):
                 if position not in outstanding:
@@ -494,6 +454,7 @@ class ParallelExplorer:
                 del outstanding[position]
             if self._external_pool is not None:
                 raise crashed
+            self._release()  # closes the broken pool
             registry.counter("recovery.worker_crashes").inc()
             if not outstanding:
                 continue
@@ -621,9 +582,8 @@ class ParallelExplorer:
     def merged_metrics(self) -> Dict:
         """Pool-wide metrics: folded bases + latest cumulative snapshots.
 
-        ``_metric_bases`` holds the totals of worker generations that
-        were reconfigured away mid-run (another session took the pool,
-        or a crash replaced it); ``_latest_by_pid`` holds the live
+        ``_metric_bases`` holds the totals of worker generations that a
+        crash replaced mid-run; ``_latest_by_pid`` holds the live
         generation's cumulative snapshots, one per (epoch, pid).
         """
         return merge_snapshots(

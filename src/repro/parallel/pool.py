@@ -39,11 +39,9 @@ no hang, no partial merge.  Broken pools are replaced on the next
 
 :func:`acquire_pool` / :func:`release_pool` manage a process-wide shared
 registry keyed by worker count — consecutive explorations reuse the warm
-pool.  Acquisition **waits in FIFO order** when the pool is leased:
-concurrent explorers (daemon sessions, threads) queue for the one warm
-pool instead of silently paying full spawn + program-ship cost on a
-private transient pool, and since the coordinator leases per *round*,
-FIFO hand-off is exactly round-robin fair scheduling across sessions.
+pool.  An explorer leases its pool for its whole run; one that finds
+the shared pool already leased (two interleaved streams in one process)
+runs on a private transient pool that :func:`release_pool` closes.
 All shared pools are closed at interpreter exit.
 """
 
@@ -56,8 +54,6 @@ import multiprocessing
 import pickle
 import queue as _queue
 import threading
-import time
-from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.lowlevel.program import Program
@@ -82,9 +78,8 @@ _DIGEST_MEMO = 8
 #: replacement pool's recycled pids with the crashed pool's.
 _EPOCH_COUNTER = itertools.count(1)
 
-#: Run identity generator — process-wide, not per pool, so a session
-#: that restores its run onto a *replacement* pool (after a crash)
-#: keeps an id no other session can ever be assigned.
+#: Run identity generator, process-wide so no two configurations of any
+#: pool share an id.
 _RUN_ID_COUNTER = itertools.count(1)
 
 
@@ -122,10 +117,6 @@ class WorkerPool:
         self.configures = 0
         #: workers that had to be terminated/killed by :meth:`close`.
         self.kills = 0
-        #: the run the workers are currently configured for (None before
-        #: the first configure); interleaved sessions use this to decide
-        #: whether a freshly acquired pool needs reconfiguring.
-        self.active_run_id: Optional[int] = None
         self.closed = False
         self.broken = False
         self._procs: List = []
@@ -137,66 +128,22 @@ class WorkerPool:
         self._digest_memo: Dict[int, Tuple[Program, str]] = {}
         #: digests whose image bytes the workers already hold.
         self._shipped: set = set()
-        self._lease_cond = threading.Condition()
-        self._lease_owner: Optional[object] = None
-        self._lease_waiters: "deque" = deque()
+        self._lease_lock = threading.Lock()
+        self._leased = False
 
     # -- leasing (shared-registry bookkeeping) --------------------------------
 
-    @property
-    def _leased(self) -> bool:
-        return self._lease_owner is not None
-
-    def acquire(self, timeout: Optional[float] = None) -> bool:
-        """Lease the pool, waiting in FIFO order if it is already leased.
-
-        Waiters are served strictly first-come-first-served, which is
-        the fairness primitive concurrent sessions are scheduled by:
-        with per-round leases, N waiting sessions alternate rounds
-        round-robin.  Returns False if the pool closes or breaks while
-        waiting, or the timeout elapses.
-        """
-        token = object()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._lease_cond:
-            self._lease_waiters.append(token)
-            try:
-                while True:
-                    if self.closed or self.broken:
-                        return False
-                    if self._lease_owner is None and self._lease_waiters[0] is token:
-                        self._lease_owner = token
-                        return True
-                    remaining = None
-                    if deadline is not None:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            return False
-                    self._lease_cond.wait(remaining)
-            finally:
-                try:
-                    self._lease_waiters.remove(token)
-                except ValueError:
-                    pass
-                self._lease_cond.notify_all()
-
-    def try_acquire(self) -> bool:
-        """Lease the pool without waiting; False if leased or waited on."""
-        with self._lease_cond:
-            if (
-                self._lease_owner is not None
-                or self._lease_waiters
-                or self.closed
-                or self.broken
-            ):
+    def acquire(self) -> bool:
+        """Lease the pool; False, without waiting, if it is leased or unusable."""
+        with self._lease_lock:
+            if self._leased or self.closed or self.broken:
                 return False
-            self._lease_owner = object()
+            self._leased = True
             return True
 
     def release(self) -> None:
-        with self._lease_cond:
-            self._lease_owner = None
-            self._lease_cond.notify_all()
+        with self._lease_lock:
+            self._leased = False
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -239,8 +186,6 @@ class WorkerPool:
         if self.closed:
             return
         self.closed = True
-        with self._lease_cond:
-            self._lease_cond.notify_all()  # waiters see closed and bail
         # Polite phase; at interpreter exit multiprocessing's own atexit
         # cleanup may already have torn down queue feeder threads, so a
         # failed put just skips straight to the escalation below.
@@ -281,7 +226,6 @@ class WorkerPool:
         self._ctrl_qs = []
         self._task_q = None
         self._result_q = None
-        self.active_run_id = None
 
     # -- program shipping ------------------------------------------------------
 
@@ -317,7 +261,6 @@ class WorkerPool:
         solver_budget: int,
         trace_hlpc: bool = False,
         trace: bool = False,
-        run_id: Optional[int] = None,
         solver_deadline_s: Optional[float] = None,
         fault_plan=None,
     ) -> int:
@@ -327,17 +270,12 @@ class WorkerPool:
         results of other run ids are mutually ignored.  Each worker
         rebuilds its engine (fresh solver, cache, telemetry lane, intern
         tables) so a reused pool behaves exactly like fresh processes.
-        Passing an explicit ``run_id`` (one previously returned by this
-        pool) *re*-configures the workers for that run — how interleaved
-        sessions restore their configuration after another session used
-        the pool, without invalidating their in-flight run identity.
         """
         self._ensure_started()
         digest, blob = self._program_digest(program)
         if blob is not None:
             self.program_ships += 1
-        if run_id is None:
-            run_id = next(_RUN_ID_COUNTER)
+        run_id = next(_RUN_ID_COUNTER)
         spec = {
             "run_id": run_id,
             "program_digest": digest,
@@ -355,7 +293,6 @@ class WorkerPool:
         self._collect(run_id, "configured", self.workers)
         self._shipped.add(digest)
         self.configures += 1
-        self.active_run_id = run_id
         return run_id
 
     def run_round(
@@ -455,47 +392,41 @@ class WorkerPool:
 # -- process-wide shared registry ---------------------------------------------
 
 _SHARED_POOLS: Dict[int, WorkerPool] = {}
+_REGISTRY_LOCK = threading.Lock()
 
 
 def shared_worker_pool(workers: int) -> WorkerPool:
     """The process-wide pool for this worker count (created/replaced lazily).
 
-    Closed or broken registry entries are replaced transparently, so a
-    crashed run never wedges later explorations.
+    Closed or broken registry entries are replaced, so a crashed run
+    never wedges later explorations.  The replaced entry is closed here
+    unless it is leased, in which case its lessee's :func:`release_pool`
+    closes it; either way its surviving workers never outlive
+    :func:`close_shared_pools`.
     """
-    pool = _SHARED_POOLS.get(workers)
-    if pool is None or pool.closed or pool.broken:
-        pool = _SHARED_POOLS[workers] = WorkerPool(workers)
-    return pool
+    with _REGISTRY_LOCK:
+        pool = _SHARED_POOLS.get(workers)
+        if pool is None or pool.closed or pool.broken:
+            if pool is not None and not pool._leased:
+                pool.close()
+            pool = _SHARED_POOLS[workers] = WorkerPool(workers)
+        return pool
 
 
-def acquire_pool(workers: int, timeout: Optional[float] = None) -> Tuple[WorkerPool, bool]:
+def acquire_pool(workers: int) -> Tuple[WorkerPool, bool]:
     """Lease the shared pool for this worker count; ``(pool, transient)``.
 
-    When the pool is already leased — concurrent explorers in one
-    process, the common case under a service daemon — acquisition
-    **waits in FIFO order** instead of falling back to a private
-    transient pool: the old fallback silently paid full spawn +
-    program-ship cost per concurrent session and broke the
-    ``program_ships`` ship-once invariant.  ``transient`` is always
-    False now and remains in the signature only for
-    :func:`release_pool` symmetry.  A pool that closes or breaks while
-    being waited on is replaced transparently; ``timeout`` bounds the
-    total wait (:class:`TimeoutError` on expiry).
+    When the shared pool is already leased — two explorers interleaved
+    in one process — the caller gets a private *transient* pool instead
+    (never a wait, which could deadlock a thread that interleaves both
+    streams); :func:`release_pool` closes it.
     """
-    deadline = None if timeout is None else time.monotonic() + timeout
-    while True:
-        pool = shared_worker_pool(workers)
-        remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
-        if pool.acquire(timeout=remaining):
-            return pool, False
-        if not (pool.closed or pool.broken):
-            raise TimeoutError(
-                f"timed out after {timeout}s waiting for the shared "
-                f"{workers}-worker pool lease"
-            )
-        # Closed/broken while we waited: loop — the registry hands out
-        # a replacement.
+    pool = shared_worker_pool(workers)
+    if pool.acquire():
+        return pool, False
+    pool = WorkerPool(workers)
+    pool.acquire()
+    return pool, True
 
 
 def release_pool(pool: WorkerPool, transient: bool = False) -> None:

@@ -5,13 +5,13 @@ Subcommands::
     serve     start the daemon on a Unix socket
     run       submit one session and stream its events as JSON lines
     resume    continue a checkpointed campaign (daemon-local checkpoint)
-    stats     print service metrics + shared-pool counters
+    stats     print service metrics
     ping      liveness check
     shutdown  stop the daemon
 
 Example::
 
-    python -m repro.service serve --socket /tmp/repro.sock --workers 2 &
+    python -m repro.service serve --socket /tmp/repro.sock &
     python -m repro.service run --socket /tmp/repro.sock \\
         --language pylite --file target.py --time-budget 5
 """
@@ -42,13 +42,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="start the daemon")
     serve.add_argument("--socket", required=True, help="Unix socket path")
-    serve.add_argument("--workers", type=int, default=2)
     serve.add_argument("--max-sessions", type=int, default=8)
     serve.add_argument("--max-time-budget", type=float, default=60.0)
     serve.add_argument("--max-ll-paths", type=int, default=10_000)
-    # The daemon keeps no on-disk cache any more; the committed benchmark
-    # harness still passes this flag, and the next benchmark change
-    # stops passing it and removes it.
+    # Sessions run in the daemon and the daemon keeps no on-disk cache;
+    # the committed benchmark harness still passes both flags, and the
+    # next benchmark change stops passing them and removes them.
+    serve.add_argument("--workers", default=None, help=argparse.SUPPRESS)
     serve.add_argument("--cache-dir", default=None, help=argparse.SUPPRESS)
     serve.add_argument("--max-solver-deadline", type=float, default=None,
                        help="per-query solver deadline ceiling, seconds "
@@ -109,7 +109,6 @@ def _cmd_serve(args) -> int:
     service = ChefService(
         ServiceConfig(
             socket_path=args.socket,
-            workers=args.workers,
             max_sessions=args.max_sessions,
             max_time_budget=args.max_time_budget,
             max_ll_paths=args.max_ll_paths,

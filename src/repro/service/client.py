@@ -133,7 +133,7 @@ class ServiceClient:
         return self._simple({"op": "ping"})
 
     def stats(self) -> Dict[str, Any]:
-        """Service metrics + shared-pool counters (see daemon ``_stats``)."""
+        """Service metrics (see daemon ``_stats``)."""
         return self._simple({"op": "stats"})
 
     def shutdown(self) -> Dict[str, Any]:
@@ -154,7 +154,8 @@ class ServiceClient:
 
         ``config`` holds the budget/strategy fields of the run request
         (a :class:`~repro.chef.options.ChefConfig`-shaped dict is
-        accepted); the daemon clamps budgets and owns worker count.
+        accepted); the daemon clamps budgets and runs every session
+        serially.
         ``resume`` names a daemon-local checkpoint directory/file to
         continue instead of a fresh target.  Connection setup retries
         with backoff; a stream is only re-submitted whole if it died

@@ -1,28 +1,26 @@
 """Symbolic execution as a service: the asyncio session daemon.
 
 :class:`ChefService` accepts many concurrent symbolic-execution
-sessions over one local (Unix-domain) socket and multiplexes them over
-**one** process-wide persistent :class:`~repro.parallel.pool.WorkerPool`:
-every session's parallel explorer leases the pool per *round* in FIFO
-order, so N concurrent tenants interleave rounds round-robin over warm
-workers — the Program image of each distinct target ships once per pool,
-not once per session (the ``program_ships`` invariant the pool tests
-gate).
+sessions over one local (Unix-domain) socket.  Every session explores
+serially inside the daemon process, on the pump thread of
+:meth:`~repro.api.session.SymbolicSession.aevents`, as one engine —
+the way Chef runs each target.
 
 Per-session budgets are clamped against the service caps
 (:class:`ServiceConfig`), admission is bounded by a semaphore, and the
 typed :mod:`repro.api.events` stream crosses the socket as JSON lines
 (see :mod:`repro.service.protocol`).
 
-Sessions share the pool, never solver state: every session's solvers
-keep their own recent models, so a warm second run of a target re-solves its
-queries and produces the same path-event multiset as the cold run.
+Sessions share no solver state: every session's solvers keep their own
+recent models, so a warm second run of a target re-solves its queries
+and produces the same path-event multiset as the cold run.  They do
+share the process-global ``Sym`` registry and expression intern table,
+which the daemon clears whenever it goes idle.
 
 Observability: one service-wide telemetry context (``service.*``
 counters, sessions/sec gauge) plus a Chrome-trace lane per session
 (``session-<id>``) folded into the service event log when the session
-ends — ``write_chrome_trace`` shows tenants as swimlanes next to the
-coordinator and worker lanes.
+ends — ``write_chrome_trace`` shows tenants as swimlanes.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from typing import Any, Dict, Optional
 
 from repro.api.session import SymbolicSession
 from repro.chef.options import ChefConfig
+from repro.lowlevel.expr import Sym, clear_intern_cache
 from repro.obs.telemetry import Telemetry
 from repro.service import protocol
 
@@ -49,9 +48,6 @@ class ServiceConfig:
 
     #: Unix-domain socket path the daemon listens on.
     socket_path: str
-    #: worker processes in the one shared pool (1 = serial sessions,
-    #: run in the daemon process without round-robin pool scheduling).
-    workers: int = 2
     #: sessions allowed to *run* concurrently; excess requests queue
     #: FIFO on the admission semaphore.
     max_sessions: int = 8
@@ -66,7 +62,7 @@ class ServiceConfig:
     #: ceiling for per-session solver query deadlines, seconds.  When
     #: set, every session runs with a deadline of at most this (requests
     #: may ask for a shorter one); wedged queries degrade to *unknown*
-    #: instead of stalling the shared pool (``solver.deadline_unknowns``).
+    #: instead of stalling the session (``solver.deadline_unknowns``).
     max_solver_deadline_s: Optional[float] = None
     #: deterministic fault-injection plan for chaos tests (connection
     #: drops fire in :meth:`ChefService._handle`); None in production.
@@ -74,7 +70,7 @@ class ServiceConfig:
 
 
 class ChefService:
-    """The daemon: admission, budgets, fair scheduling."""
+    """The daemon: admission and budgets."""
 
     def __init__(self, config: ServiceConfig):
         self.config = config
@@ -200,7 +196,7 @@ class ChefService:
                 self.registry.counter("service.sessions.finished").inc()
         except (ConnectionResetError, BrokenPipeError):
             # Client hung up mid-stream: aevents' finally already closed
-            # the underlying stream (released the pool lease).
+            # the underlying stream.
             self.registry.counter("service.sessions.abandoned").inc()
         except Exception as exc:
             self.registry.counter("service.sessions.failed").inc()
@@ -220,17 +216,27 @@ class ChefService:
                 pass
 
     def _fold_session(self, session, session_tele: Telemetry, duration: float) -> None:
-        """Fold a finished session's telemetry into the service context."""
+        """Fold a finished session's telemetry into the service context.
+
+        Runs on the loop thread once the session's pump thread has
+        exited.  When no session is left running or waiting, the
+        process-global symbolic tables are cleared, so they do not grow
+        with every session the daemon serves.  Engines namespace their
+        variables, so no later session can meet a stale ``Sym``.
+        """
         self.telemetry.extend_events(session_tele.drain_events())
         self.registry.histogram("service.session_seconds").observe(duration)
+        if not (
+            self.registry.gauge("service.sessions.active").value
+            or self.registry.gauge("service.sessions.waiting").value
+        ):
+            clear_intern_cache()
+            Sym.reset_registry()
         try:
             metrics = session.metrics()
         except Exception:
             return
         for source_key, dest_key in (
-            ("recovery.worker_crashes", "service.recovery.worker_crashes"),
-            ("recovery.requeued_chunks", "service.recovery.requeued_chunks"),
-            ("recovery.quarantined_states", "service.recovery.quarantined_states"),
             ("solver.deadline_unknowns", "service.solver.deadline_unknowns"),
             ("checkpoint.saves", "service.checkpoint.saves"),
             ("checkpoint.resumes", "service.checkpoint.resumes"),
@@ -255,11 +261,12 @@ class ChefService:
         resume_path = request.get("resume")
         if resume_path is not None:
             # Continue a checkpointed campaign under this service's
-            # clamps: budgets/worker-count/trace are service policy even
-            # though the persisted config carries the original values.
+            # clamps: budgets/trace are service policy, and the session
+            # runs serially, even though the persisted config carries
+            # the original values.
             return SymbolicSession.resume(
                 resume_path,
-                workers=self.config.workers,
+                workers=1,
                 telemetry=session_tele,
                 time_budget=chef_config.time_budget,
                 max_ll_paths=chef_config.max_ll_paths,
@@ -284,7 +291,8 @@ class ChefService:
         """Budget-clamped :class:`ChefConfig` for one session.
 
         Clients choose strategy/seed/budgets within the service caps;
-        worker count and tracing are service policy, never the client's.
+        tracing is service policy.  ``workers`` is not client-settable,
+        so every session keeps the serial default.
         """
         config = ChefConfig()
         for field_name in (
@@ -294,9 +302,7 @@ class ChefService:
             "path_instr_budget",
             "solver_budget",
             "sample_every",
-            "worker_batch",
             "unknown_policy",
-            "quarantine_threshold",
             "checkpoint_dir",
             "checkpoint_every",
         ):
@@ -320,29 +326,20 @@ class ChefService:
             time_budget=min(time_budget, self.config.max_time_budget),
             max_ll_paths=min(max_ll_paths, self.config.max_ll_paths),
             solver_deadline_s=deadline,
-            workers=self.config.workers,
             trace=self.config.trace,
         )
 
     # -- introspection ---------------------------------------------------------
 
     def _stats(self) -> Dict[str, Any]:
-        from repro.parallel.pool import shared_worker_pool
-
-        pool = shared_worker_pool(self.config.workers)
         return {
             "ok": True,
             "op": "stats",
             "uptime": time.monotonic() - self._start_time,
             "metrics": self.telemetry.metrics(),
-            "pool": {
-                "workers": pool.workers,
-                "epoch": pool.epoch,
-                "spawns": pool.spawns,
-                "program_ships": pool.program_ships,
-                "configures": pool.configures,
-                "kills": pool.kills,
-            },
+            # Sessions ship no programs; the committed benchmark still
+            # reads this key.
+            "pool": {"program_ships": 0},
         }
 
     def write_chrome_trace(self, path) -> None:

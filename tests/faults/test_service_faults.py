@@ -37,7 +37,6 @@ def faulty_daemon(tmp_path):
     service = ChefService(
         ServiceConfig(
             socket_path=socket_path,
-            workers=2,
             max_time_budget=120.0,
             fault_plan=_DROP_PLAN,
         )

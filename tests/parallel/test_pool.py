@@ -152,9 +152,15 @@ class TestCrashHandling:
     def test_broken_shared_pool_is_replaced(self):
         _run_once(branchy_source(3))
         pool = shared_worker_pool(2)
+        old_procs = list(pool._procs)
+        assert old_procs and all(proc.is_alive() for proc in old_procs)
         pool.broken = True
         replacement = shared_worker_pool(2)
         assert replacement is not pool
+        # The replaced pool is closed: its live workers must not outlive
+        # the registry entry that owned them.
+        assert pool.closed
+        assert all(not proc.is_alive() for proc in old_procs)
         # Exploration still works through the replacement.
         session = _run_once(branchy_source(3))
         assert session.result.ll_paths == 8
@@ -193,91 +199,29 @@ class TestSuffixClassification:
         assert parallel_sigs == serial_sigs
 
 
-class TestLeaseQueueing:
-    def test_acquire_waits_fifo(self):
-        import threading
-
-        pool = WorkerPool(2)
-        assert pool.try_acquire()
-        order = []
-
-        def waiter(tag):
-            assert pool.acquire(timeout=30.0)
-            order.append(tag)
-            pool.release()
-
-        first = threading.Thread(target=waiter, args=("a",))
-        first.start()
-        time.sleep(0.1)
-        second = threading.Thread(target=waiter, args=("b",))
-        second.start()
-        time.sleep(0.1)
-        pool.release()
-        first.join(timeout=10.0)
-        second.join(timeout=10.0)
-        assert order == ["a", "b"], "lease hand-off must be first-come-first-served"
-        pool.close()
-
-    def test_try_acquire_defers_to_waiters(self):
-        import threading
-
-        pool = WorkerPool(2)
-        assert pool.try_acquire()
-        acquired = threading.Event()
-
-        def waiter():
-            assert pool.acquire(timeout=30.0)
-            acquired.set()
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        time.sleep(0.1)
-        # Queue-jumping past a blocked waiter would starve it.
-        assert not pool.try_acquire()
-        pool.release()
-        thread.join(timeout=10.0)
-        assert acquired.is_set()
-        pool.release()
-        pool.close()
-
-    def test_acquire_times_out(self):
-        pool = WorkerPool(2)
-        assert pool.try_acquire()
-        assert pool.acquire(timeout=0.1) is False
-        pool.release()
-        pool.close()
-
-    def test_close_releases_waiters(self):
-        import threading
-
-        pool = WorkerPool(2)
-        assert pool.try_acquire()
-        outcome = {}
-
-        def waiter():
-            outcome["acquired"] = pool.acquire(timeout=30.0)
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        time.sleep(0.1)
-        pool.close()
-        thread.join(timeout=10.0)
-        assert outcome["acquired"] is False
-
-
 class TestConcurrentSessions:
     def test_two_concurrent_sessions_share_pool_and_ship_once(self):
-        """The daemon's common case: interleaved sessions, one warm pool.
+        """Two interleaved in-process sessions never wait on each other.
 
-        The old ``shared_worker_pool`` fell back to a *transient* pool
-        whenever the shared one was leased, so two interleaved sessions
-        paid full spawn + program-ship cost each; FIFO lease queueing
-        plus round-scoped explorer leases make them alternate rounds on
-        the one pool instead.
+        An explorer leases its pool for its whole run; a second explorer
+        that finds the shared pool leased runs on a private transient
+        pool, which is closed when its run ends.  Both path multisets
+        equal the serial run's, the shared pool ships the program once,
+        and afterwards only the shared pool's workers are alive.
         """
+        import multiprocessing
         import threading
+        from collections import Counter
 
         source = branchy_source(4)
+
+        def multiset(result):
+            return Counter(
+                (tuple(sorted((k, tuple(v)) for k, v in c.inputs.items())), c.status)
+                for c in result.suite.cases
+            )
+
+        serial = _run_once(source, workers=1).result
         sessions = [
             SymbolicSession.from_program(
                 compile_program(source).program,
@@ -298,22 +242,17 @@ class TestConcurrentSessions:
             thread.start()
         for thread in threads:
             thread.join(timeout=120.0)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
+        for session in sessions:
+            assert session.result.ll_paths == 16
+            assert multiset(session.result) == multiset(serial)
         pool = shared_worker_pool(2)
-        assert pool.spawns == 2, "concurrent sessions must not spawn private pools"
-        assert pool.program_ships == 1, "ship-once must hold across sessions"
         assert not pool._leased
-        first, second = (session.result for session in sessions)
-        assert first.ll_paths == second.ll_paths == 16
-        first_ids = {
-            (tuple(sorted((k, tuple(v)) for k, v in c.inputs.items())), c.status)
-            for c in first.suite.cases
-        }
-        second_ids = {
-            (tuple(sorted((k, tuple(v)) for k, v in c.inputs.items())), c.status)
-            for c in second.suite.cases
-        }
-        assert first_ids == second_ids
+        assert pool.program_ships == 1
+        children = multiprocessing.active_children()
+        assert sorted(c.pid for c in children) == sorted(p.pid for p in pool._procs)
+        assert len(children) == 2
 
 
 class TestCloseEscalation:
@@ -405,7 +344,7 @@ class TestSessionStreamLifecycle:
         stream.close()  # consumer abandons mid-stream
         pool = shared_worker_pool(2)
         assert not pool.broken
-        assert pool.try_acquire(), "abandoned stream leaked the pool lease"
+        assert pool.acquire(), "abandoned stream leaked the pool lease"
         pool.release()
         with pytest.raises(ReproError):
             session.events()  # half-explored session is poisoned

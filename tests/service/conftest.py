@@ -1,4 +1,8 @@
-"""Service-suite fixtures: a daemon-in-a-thread and a clean pool registry."""
+"""Service-suite fixtures: a daemon-in-a-thread and a clean pool registry.
+
+The daemon runs every session serially; the pool registry is reset because
+the in-process baselines several tests compare against run at workers=2.
+"""
 
 from __future__ import annotations
 
@@ -32,7 +36,6 @@ def daemon_factory(tmp_path):
         socket_path = str(tmp_path / f"svc{len(running)}.sock")
         config = ServiceConfig(
             socket_path=socket_path,
-            workers=2,
             max_time_budget=120.0,
             **overrides,
         )

@@ -1,27 +1,33 @@
-"""End-to-end service-daemon tests: multi-tenant sessions over one pool.
+"""End-to-end service-daemon tests: concurrent sessions inside the daemon.
 
-The acceptance contract, all counter-gated (no wall-clock assertions):
+The acceptance contract, all counter- or multiset-gated (no wall-clock
+assertions):
 
 - two *concurrent* daemon sessions of the same target produce exactly
   the per-session path-event multiset of a standalone in-process
-  ``Session.run()``, and the Program image ships once across all of
-  them (``pool.program_ships == 1`` in ``stats``);
+  ``Session.run()``, and the daemon spawns no worker process for them;
 - a warm second run of the same target produces the cold run's path
-  multiset without shipping the program again;
+  multiset;
+- a checkpoint written at ``workers=2`` resumes serially in the daemon;
+- the daemon clears the process-global symbolic tables when it goes
+  idle;
 - budgets are clamped server-side and surface as ``BudgetExhausted``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 
 import pytest
 
+from repro.api.events import CheckpointSaved
 from repro.api.session import SymbolicSession
 from repro.bench.workloads import branchy_source
 from repro.chef.options import ChefConfig
 from repro.clay import compile_program
-from repro.parallel.pool import shared_worker_pool
+from repro.lowlevel import expr
+from repro.parallel import pool as pool_module
 from repro.service import ChefService, ServiceConfig, ServiceError
 from repro.service import protocol
 
@@ -47,7 +53,6 @@ class TestControlOps:
         stats = client.stats()
         assert stats["ok"] is True
         assert "metrics" in stats
-        assert stats["pool"]["workers"] == 2
 
     def test_unknown_op_is_an_error_line(self, daemon_factory):
         _service, client = daemon_factory()
@@ -62,41 +67,50 @@ class TestControlOps:
         assert rejected == 1
 
 
+def _run_concurrently(client, source, tags=("a", "b")):
+    """Run one session per tag at once; ``{tag: (events, result)}``."""
+    outcomes = {}
+
+    def drive(tag):
+        try:
+            outcomes[tag] = client.run(clay=source)
+        except BaseException as exc:
+            outcomes[tag] = exc
+
+    threads = [threading.Thread(target=drive, args=(tag,)) for tag in tags]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120.0)
+    assert not any(thread.is_alive() for thread in threads)
+    for tag in tags:
+        assert not isinstance(outcomes[tag], BaseException), outcomes[tag]
+    return outcomes
+
+
 class TestConcurrentSessions:
     def test_two_concurrent_sessions_match_in_process_run(self, daemon_factory):
         source = branchy_source(4)
         expected, baseline = _in_process_multiset(source)
         assert baseline.ll_paths == 16
         service, client = daemon_factory()
-        outcomes = {}
-
-        def drive(tag):
-            try:
-                outcomes[tag] = client.run(clay=source)
-            except BaseException as exc:
-                outcomes[tag] = exc
-
-        threads = [
-            threading.Thread(target=drive, args=(tag,)) for tag in ("a", "b")
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120.0)
-        for tag in ("a", "b"):
-            assert not isinstance(outcomes[tag], BaseException), outcomes[tag]
-            events, result = outcomes[tag]
+        outcomes = _run_concurrently(client, source)
+        for events, result in outcomes.values():
             assert result["ll_paths"] == 16
             assert protocol.path_event_multiset(events) == expected
         stats = client.stats()
-        # One pool, one spawn set, ONE program ship across the baseline
-        # in-process run and both daemon tenants (content-digest dedup).
-        assert stats["pool"]["spawns"] == 2
-        assert stats["pool"]["program_ships"] == 1
         metrics = stats["metrics"]
         assert metrics["service.sessions.started"] == 2
         assert metrics["service.sessions.finished"] == 2
         assert metrics["service.sessions.active"] == 0
+
+    def test_daemon_sessions_spawn_no_worker_processes(self, daemon_factory):
+        _service, client = daemon_factory()
+        outcomes = _run_concurrently(client, branchy_source(4))
+        for _events, result in outcomes.values():
+            assert result["ll_paths"] == 16
+        assert multiprocessing.active_children() == []
+        assert pool_module._SHARED_POOLS == {}
 
 
 class TestWarmRun:
@@ -110,8 +124,21 @@ class TestWarmRun:
             second_events
         ) == protocol.path_event_multiset(first_events)
         stats = client.stats()
-        assert stats["pool"]["program_ships"] == 1
         assert stats["metrics"]["service.sessions.finished"] == 2
+
+    def test_idle_daemon_clears_process_global_tables(self, daemon_factory):
+        """Sessions run in the daemon, so its intern table and ``Sym``
+        registry would grow with every session; going idle clears both."""
+        source = branchy_source(4)
+        _service, client = daemon_factory()
+        multisets = []
+        for _ in range(3):
+            events, result = client.run(clay=source)
+            assert result["ll_paths"] == 16
+            assert expr._intern == {}
+            assert expr.Sym._registry == {}
+            multisets.append(protocol.path_event_multiset(events))
+        assert multisets[0] == multisets[1] == multisets[2]
 
 
 class TestBudgets:
@@ -128,7 +155,6 @@ class TestBudgets:
         service = ChefService(
             ServiceConfig(
                 socket_path="unused.sock",
-                workers=3,
                 max_time_budget=7.0,
                 max_ll_paths=50,
             )
@@ -137,14 +163,14 @@ class TestBudgets:
             {
                 "time_budget": 10_000.0,
                 "max_ll_paths": 0,
-                "workers": 64,  # ignored: worker count is service policy
+                "workers": 64,  # ignored: sessions always run serially
                 "strategy": "cupa",
                 "seed": 11,
             }
         )
         assert config.time_budget == 7.0
         assert config.max_ll_paths == 50
-        assert config.workers == 3
+        assert config.workers == 1
         assert config.strategy == "cupa"
         assert config.seed == 11
         capped = service._clamp_config({"max_ll_paths": 9_999})
@@ -190,3 +216,33 @@ class TestCheckpointedSessions:
         metrics = client.stats()["metrics"]
         assert metrics.get("service.checkpoint.saves", 0) > 0
         assert metrics.get("service.checkpoint.resumes", 0) == 1
+
+    def test_parallel_checkpoint_resumes_serially_in_the_daemon(
+        self, daemon_factory, tmp_path
+    ):
+        """A campaign checkpointed in-process at workers=2 and abandoned
+        finishes in the daemon, serially, with the uninterrupted run's
+        path-event multiset."""
+        source = branchy_source(4)
+        expected, _baseline = _in_process_multiset(source)
+        ckpt_dir = str(tmp_path / "par-ckpt")
+        session = SymbolicSession.from_program(
+            compile_program(source).program,
+            ChefConfig(
+                time_budget=120.0, workers=2,
+                checkpoint_dir=ckpt_dir, checkpoint_every=1,
+            ),
+        )
+        stream = session.events()
+        for event in stream:
+            if isinstance(event, CheckpointSaved):
+                break
+        stream.close()  # abandon the campaign mid-run
+        pool_module.close_shared_pools()
+
+        _service, client = daemon_factory()
+        events, result = client.run(resume=ckpt_dir)
+        assert result["ll_paths"] == 16
+        assert protocol.path_event_multiset(events) == expected
+        assert multiprocessing.active_children() == []
+        assert pool_module._SHARED_POOLS == {}

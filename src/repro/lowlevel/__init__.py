@@ -3,9 +3,9 @@
 This subpackage provides:
 
 - :mod:`repro.lowlevel.expr` — symbolic expression DAG over integers,
-- :mod:`repro.lowlevel.cow` — copy-on-write mappings for cheap state forks,
 - :mod:`repro.lowlevel.program` — the LIR instruction set and program model,
-- :mod:`repro.lowlevel.machine` — machine state (frames, memory),
+- :mod:`repro.lowlevel.machine` — machine state (frames, a flat word
+  memory copied on fork),
 - :mod:`repro.lowlevel.executor` — the concolic low-level engine,
 - :mod:`repro.lowlevel.api` — the Chef guest API (Table 1 of the paper).
 """
@@ -20,7 +20,6 @@ from repro.lowlevel.expr import (
     mk_unop,
     negate_condition,
 )
-from repro.lowlevel.cow import CowMap
 from repro.lowlevel.program import (
     Function,
     Instr,
@@ -37,7 +36,6 @@ from repro.lowlevel.executor import (
 
 __all__ = [
     "BinExpr",
-    "CowMap",
     "Expr",
     "ExecutorConfig",
     "Frame",

@@ -36,7 +36,7 @@ from repro.lowlevel.expr import (
     negate_condition,
     truth_condition,
 )
-from repro.lowlevel.machine import MachineState, Status
+from repro.lowlevel.machine import Frame, MachineState, Status
 from repro.lowlevel.program import Function, Opcode, Program
 from repro.obs.metrics import MetricsRegistry, counter_property
 from repro.obs.telemetry import Telemetry
@@ -50,6 +50,17 @@ _MAX_SHIFT = 512
 #: decoder leaves them to the stepper, so a fault lands on an exact
 #: instruction count.
 _FAULTING = frozenset(("div", "mod", "shl", "shr"))
+
+#: Comparison operators decoded to a C-level compare instead of the
+#: Python lambda in :data:`BINOP_FUNCS` (they store ints, never bools).
+_COMPARES = {
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+}
 
 #: Opcodes that end a block (they set the pc or leave the frame).
 _TRANSFERS = frozenset(
@@ -595,12 +606,20 @@ class LowLevelEngine:
         which matters for cold code: it runs only a few times per decode.
         """
         op, dst, a, b, extra = ins.op, ins.dst, ins.a, ins.b, ins.extra
+        callee = self.program.functions.get(extra) if op == Opcode.CALL else None
         if op == Opcode.CONST:
             def run(regs, memory, dst=dst, a=a):
                 regs[dst] = a
         elif op == Opcode.MOVE:
             def run(regs, memory, dst=dst, a=a):
                 regs[dst] = regs[a]
+        elif op == Opcode.BIN and extra in _COMPARES:
+            def run(regs, memory, dst=dst, a=a, b=b, pc=pc, compare=_COMPARES[extra]):
+                va = regs[a]
+                vb = regs[b]
+                if type(va) is not int or type(vb) is not int:
+                    return pc
+                regs[dst] = 1 if compare(va, vb) else 0
         elif op == Opcode.BIN and extra in BINOP_FUNCS and extra not in _FAULTING:
             def run(regs, memory, dst=dst, a=a, b=b, pc=pc, binop=BINOP_FUNCS[extra]):
                 va = regs[a]
@@ -636,14 +655,33 @@ class LowLevelEngine:
                 if type(cond) is not int:
                     return pc
                 frame.pc = b if cond else extra
-        elif op == Opcode.CALL and extra in self.program.functions:
-            def run(state, frame, regs, dst=dst, next_pc=pc + 1,
-                    callee=self.program.functions[extra], arg_regs=ins.args or ()):
-                frame.pc = next_pc
-                state.machine.push_frame(callee, [regs[r] for r in arg_regs], dst)
+        elif callee is not None and len(ins.args or ()) == callee.n_params:
+            # MachineState.push_frame inline; a stack overflow bails.
+            def run(state, frame, regs, dst=dst, pc=pc, callee=callee,
+                    arg_regs=tuple(ins.args or ()),
+                    padding=(0,) * (callee.n_regs - callee.n_params),
+                    max_depth=MachineState.MAX_CALL_DEPTH):
+                frames = state.machine.frames
+                if len(frames) >= max_depth:
+                    return pc
+                frame.pc = pc + 1
+                callee_frame = Frame.__new__(Frame)
+                callee_frame.func = callee
+                callee_frame.pc = 0
+                callee_frame.regs = [*map(regs.__getitem__, arg_regs), *padding]
+                callee_frame.ret_dst = dst
+                frames.append(callee_frame)
         elif op == Opcode.RET:
+            # MachineState.pop_frame inline, halting after the entry function.
             def run(state, frame, regs, a=a):
-                state.machine.pop_frame(regs[a] if a is not None else 0)
+                frames = state.machine.frames
+                frames.pop()
+                if frames:
+                    if frame.ret_dst is not None:
+                        frames[-1].regs[frame.ret_dst] = regs[a] if a is not None else 0
+                else:
+                    state.machine.status = Status.HALTED
+                    state.machine.halt_code = 0
         elif op == Opcode.HYPER:
             def run(state, frame, regs, dst=dst, next_pc=pc + 1, extra=extra,
                     arg_regs=ins.args or (), hypercall=self._hypercall):
@@ -651,7 +689,7 @@ class LowLevelEngine:
                 result = hypercall(state, extra, [regs[r] for r in arg_regs])
                 if dst is not None:
                     regs[dst] = result if result is not None else 0
-        else:  # faulting operators, undefined callees: always the stepper
+        else:  # faulting operators, bad callees or arity: always the stepper
             def run(*_args, pc=pc):
                 return pc
         return run

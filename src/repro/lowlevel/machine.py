@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import GuestFault
-from repro.lowlevel.cow import CowMap
 from repro.lowlevel.program import Function, Program
 
 
@@ -53,19 +52,15 @@ class MachineState:
 
     MAX_CALL_DEPTH = 256
 
-    def __init__(self, program: Program, memory: Optional[CowMap] = None):
+    def __init__(self, program: Program):
         if not program.finalized:
             raise GuestFault("program must be finalized before execution")
         self.program = program
         self.frames: List[Frame] = []
-        # Static data rides along as the frozen bottom layer *by
-        # reference* (writes only ever land in upper layers): boot costs
-        # no copy, and snapshot deltas can diff against it in O(writes).
-        self.memory = (
-            memory
-            if memory is not None
-            else CowMap.from_base_and_delta(program.static_data, {})
-        )
+        # One flat word dict, copied whole on fork: guest memories are a
+        # few hundred words, so a copy per fork costs less than walking
+        # shared layers on every load.
+        self.memory: Dict = dict(program.static_data)
         self.status = Status.RUNNING
         self.halt_code: Optional[int] = None
         self.output: List[int] = []
@@ -80,7 +75,7 @@ class MachineState:
         clone = MachineState.__new__(MachineState)
         clone.program = self.program
         clone.frames = [f.copy() for f in self.frames]
-        clone.memory = self.memory.fork()
+        clone.memory = self.memory.copy()
         clone.status = self.status
         clone.halt_code = self.halt_code
         clone.output = list(self.output)

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.lowlevel.cow import CowMap
 from repro.lowlevel.expr import (
     Expr,
     fingerprint,
@@ -87,12 +86,13 @@ class StateSnapshot:
 def snapshot_states(states) -> List[StateSnapshot]:
     """Encode a batch of states into snapshots sharing one expression table.
 
-    ``CowMap`` layer chains are flattened to a single delta against the
-    program's static data; every expression in the batch — register
-    values, memory deltas and path-condition atoms — goes through one
-    shared :func:`flatten_values` call, so structure shared between
-    values *and between sibling states* (common constraint-set prefixes,
-    loop-accumulator spines) is emitted once for the whole batch.
+    Memory ships as its delta against the program's static data, found
+    in one pass over the state's flat word dict.  Every expression in the
+    batch — register values, memory deltas and path-condition atoms —
+    goes through one shared :func:`flatten_values` call, so structure
+    shared between values *and between sibling states* (common
+    constraint-set prefixes, loop-accumulator spines) is emitted once for
+    the whole batch.
     """
     exprs: list = []
     indexes: Dict[int, int] = {}
@@ -109,7 +109,7 @@ def snapshot_states(states) -> List[StateSnapshot]:
     prepared = []
     for state in states:
         machine = state.machine
-        changed, deleted = machine.memory.delta_against(machine.program.static_data)
+        changed, deleted = _memory_delta(machine.memory, machine.program.static_data)
         frames = tuple(
             (f.func.name, f.pc, tuple(encode(r) for r in f.regs), f.ret_dst)
             for f in machine.frames
@@ -156,6 +156,16 @@ def snapshot_states(states) -> List[StateSnapshot]:
         )
         for state, frames, changed, deleted, pc_prefix, pc_model, pc_suffix in prepared
     ]
+
+
+def _memory_delta(memory: Dict, static: Dict) -> Tuple[Dict, Tuple]:
+    """``(changed, deleted)`` such that ``static`` + delta == ``memory``."""
+    absent = object()
+    changed = {
+        key: value for key, value in memory.items() if static.get(key, absent) != value
+    }
+    deleted = tuple(key for key in static if key not in memory)
+    return changed, deleted
 
 
 def snapshot_state(state) -> StateSnapshot:
@@ -238,11 +248,12 @@ def restore_state(snap: StateSnapshot, program: Program, sid: int, *, decoder: O
         frame.regs = [decode(r) for r in regs]
         frame.ret_dst = ret_dst
         machine.frames.append(frame)
-    machine.memory = CowMap.from_base_and_delta(
-        program.static_data,
-        {key: decode(value) for key, value in snap.mem_changed.items()},
-        snap.mem_deleted,
-    )
+    memory = dict(program.static_data)
+    for key in snap.mem_deleted:
+        del memory[key]
+    for key, value in snap.mem_changed.items():
+        memory[key] = decode(value)
+    machine.memory = memory
     machine.status = snap.status
     machine.halt_code = snap.halt_code
     machine.output = list(snap.output)

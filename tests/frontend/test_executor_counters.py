@@ -6,10 +6,11 @@ apply.  That must not change what a run counts: these pin, per pack and
 seed string, the exact ``engine.instrs_executed`` and ``engine.forks``
 totals and the multiset of ``(ll_instr_count, hl_instr_count)`` over
 every generated test (by size, sums and a digest of the sorted pairs),
-as the per-instruction executor produced them.  The longer rle rows
-were taken while two to nineteen of rle's queries still budgeted out,
-so they also pin that the solver's pre-search propagation moves no
-path.
+as the per-instruction executor produced them.  They also pin the exact
+``engine.instrs_stepped``, so that no fast path quietly hands work back
+to the stepper.  The longer rle rows were taken while two to nineteen
+of rle's queries still budgeted out, so they also pin that the solver's
+pre-search propagation moves no path.
 """
 
 from __future__ import annotations
@@ -28,18 +29,20 @@ _PACKS = {
     "rle": (PL.RLE_SOURCE, PL.RLE_TEST),
 }
 
-#: (pack, seed string) -> (cases, instrs_executed, forks,
+#: (pack, seed string) -> (cases, instrs_executed, instrs_stepped, forks,
 #: sum of ll counts, sum of hl counts, sha256 prefix of the sorted pairs).
 GOLDEN = {
-    ("turnstile", "cpcpcpc"): (255, 238_705, 254, 1_624_994, 12_929, "45d8b77dee3eba9e"),
-    ("turnstile", "cpcp"): (31, 28_731, 30, 113_872, 993, "a5e8f147292dbd71"),
-    ("turnstile", "cpc"): (15, 13_725, 14, 42_478, 393, "ade28727931e8920"),
-    ("rle", "ab"): (2, 3_974, 5, 4_524, 72, "baa2591ef7bd888f"),
-    ("rle", "abc"): (4, 9_802, 14, 12_408, 176, "b3f36c65956e3ffd"),
-    ("rle", "abcd"): (8, 23_020, 34, 31_616, 416, "676157d934792edc"),
-    ("parseint", "12"): (8, 2_028, 7, 6_724, 118, "98e8d995749e944d"),
-    ("parseint", "123"): (12, 2_894, 11, 12_588, 202, "8f283f893abb1d7a"),
-    ("parseint", "1234"): (16, 3_760, 15, 20_140, 302, "57a8bc4e3dbe9c2d"),
+    ("turnstile", "cpcpcpc"): (
+        255, 238_705, 1_072, 254, 1_624_994, 12_929, "45d8b77dee3eba9e"
+    ),
+    ("turnstile", "cpcp"): (31, 28_731, 167, 30, 113_872, 993, "a5e8f147292dbd71"),
+    ("turnstile", "cpc"): (15, 13_725, 57, 14, 42_478, 393, "ade28727931e8920"),
+    ("rle", "ab"): (2, 3_974, 26, 5, 4_524, 72, "baa2591ef7bd888f"),
+    ("rle", "abc"): (4, 9_802, 72, 14, 12_408, 176, "b3f36c65956e3ffd"),
+    ("rle", "abcd"): (8, 23_020, 186, 34, 31_616, 416, "676157d934792edc"),
+    ("parseint", "12"): (8, 2_028, 32, 7, 6_724, 118, "98e8d995749e944d"),
+    ("parseint", "123"): (12, 2_894, 50, 11, 12_588, 202, "8f283f893abb1d7a"),
+    ("parseint", "1234"): (16, 3_760, 68, 15, 20_140, 302, "57a8bc4e3dbe9c2d"),
 }
 
 
@@ -61,6 +64,7 @@ def test_executor_counters_match_golden(pack, seed_string):
     assert (
         len(cases),
         metrics["engine.instrs_executed"],
+        metrics["engine.instrs_stepped"],
         metrics["engine.forks"],
         sum(ll for ll, _hl in pairs),
         sum(hl for _ll, hl in pairs),

@@ -11,7 +11,8 @@ The reference below drives the stepper in the executor's original
 per-instruction loop (budget check, then a deadline poll every 4096
 instructions, then one step).  Hypothesis generates small LVM programs
 that mix every opcode with symbolic bytes, forks, symbolic pointers,
-concrete division by zero, out-of-range shifts and call-stack overflow.
+concrete division by zero, out-of-range shifts, calls with the wrong
+argument count, returns without a value and call-stack overflow.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ def _body_instr(n_body: int):
         st.builds(lambda t: ("jmp", t), target),
         st.builds(lambda c, t, f: ("br", c, t, f), _reg, target, target),
         st.builds(lambda d, a: ("call", d, a), _reg, _reg),
+        # helper takes one argument: two must fault where the stepper does
+        st.builds(lambda d, a, b: ("bad_arity", d, a, b), _reg, _reg, _reg),
+        st.builds(lambda d, a: ("call_void", d, a), _reg, _reg),
         st.builds(lambda a: ("recurse", a), _reg),
         st.builds(lambda a: ("out", a), _reg),
         # a divisor of 0 or a shift of 600 (faults unless jumped over)
@@ -105,6 +109,12 @@ def programs(draw) -> Program:
             op, dst, a = ops
             emit(Opcode.CONST, dst=dst, a=0 if op in ("div", "mod") else 600)
             emit(Opcode.BIN, extra=op, dst=dst, a=a, b=dst)
+        elif kind == "bad_arity":
+            emit(Opcode.CALL, dst=ops[0], extra="helper", args=[ops[1], ops[2]])
+        elif kind == "call_void":
+            # Prints the 0 that lands in ret_dst.
+            emit(Opcode.CALL, dst=ops[0], extra="void", args=[ops[1]])
+            emit(Opcode.HYPER, extra=api.OUT, args=[ops[0]])
         elif kind == "recurse":
             emit(Opcode.CALL, dst=None, extra="recurse", args=[ops[0]])
         else:
@@ -124,6 +134,12 @@ def programs(draw) -> Program:
         Instr(Opcode.CONST, dst=1, a=1),
         Instr(Opcode.BIN, dst=3, a=3, b=1, extra="add"),
         Instr(Opcode.RET, a=3),
+    ]))
+    # void(x): prints x and returns no value, so the caller's ret_dst
+    # reads 0.
+    program.add_function(Function("void", 1, 1, [
+        Instr(Opcode.HYPER, extra=api.OUT, args=[0]),
+        Instr(Opcode.RET, a=None),
     ]))
     # recurse(x): unbounded recursion, i.e. a call-stack overflow.
     program.add_function(Function("recurse", 1, 1, [
@@ -177,7 +193,7 @@ def _fingerprint(state, pending):
         state.instr_count,
         machine.halt_code,
         list(machine.output),
-        machine.memory.to_dict(),
+        dict(machine.memory),
         state.path_condition.atoms(),
         [(c.fork_ll_pc, c.instr_count, c.path_condition.atoms()) for c in pending],
     )

@@ -1,6 +1,7 @@
 """Machine-state unit tests (frames, memory, forking)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import GuestFault
 from repro.lowlevel.machine import Frame, MachineState, Status
@@ -99,6 +100,51 @@ class TestForking:
         assert parent.top.pc == 0
         assert child.mem_read(100) == 6
 
+    def test_fork_shares_existing(self):
+        parent = MachineState.boot(_program())
+        parent.mem_write(1, 10)
+        child = parent.fork()
+        assert child.mem_read(1) == 10
+
+    def test_child_writes_invisible_to_parent(self):
+        parent = MachineState.boot(_program())
+        parent.mem_write(1, 10)
+        child = parent.fork()
+        child.mem_write(1, 99)
+        child.mem_write(2, 2)
+        assert parent.mem_read(1) == 10
+        assert 2 not in parent.memory
+
+    def test_parent_writes_after_fork_invisible_to_child(self):
+        parent = MachineState.boot(_program())
+        parent.mem_write(1, 10)
+        child = parent.fork()
+        parent.mem_write(1, 55)
+        parent.mem_write(3, 3)
+        assert child.mem_read(1) == 10
+        assert 3 not in child.memory
+
+    def test_delete_in_child_only(self):
+        parent = MachineState.boot(_program())
+        parent.mem_write(1, 10)
+        child = parent.fork()
+        del child.memory[1]
+        assert parent.mem_read(1) == 10
+        assert 1 not in child.memory
+        assert child.mem_read(1) == 0
+
+    def test_deep_fork_chain(self):
+        # Each state forks off the previous one and writes one word: the
+        # deepest sees every write, each ancestor none of its descendants'.
+        lineage = [MachineState.boot(_program())]
+        lineage[0].mem_write(0, 0)
+        for i in range(1, 64):
+            child = lineage[-1].fork()
+            child.mem_write(i, i)
+            lineage.append(child)
+        for depth, state in enumerate(lineage):
+            assert dict(state.memory) == {i: i for i in range(depth + 1)}
+
     def test_fork_copies_output(self):
         parent = MachineState.boot(_program())
         parent.output.append(1)
@@ -112,3 +158,33 @@ class TestForking:
         base = state.current_ll_pc()
         state.top.pc += 1
         assert state.current_ll_pc() == base + 1
+
+
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("set"), st.integers(0, 20), st.integers(-5, 5)),
+            st.tuples(st.just("del"), st.integers(0, 20), st.just(0)),
+            st.tuples(st.just("fork"), st.just(0), st.just(0)),
+        ),
+        max_size=60,
+    )
+)
+def test_forked_memory_matches_dict_model(ops):
+    """Every fork keeps the memory it had when it was taken."""
+    state = MachineState.boot(_program())
+    model = {}
+    forks = []
+    for op, key, value in ops:
+        if op == "set":
+            state.mem_write(key, value)
+            model[key] = value
+        elif op == "del":
+            if key in model:
+                del state.memory[key]
+                del model[key]
+        else:
+            forks.append((state.fork(), dict(model)))
+    assert dict(state.memory) == model
+    for fork, frozen in forks:
+        assert dict(fork.memory) == frozen

@@ -18,6 +18,8 @@ from repro.lowlevel.expr import (
     mk_binop,
     mk_unop,
 )
+from repro.lowlevel.machine import Status
+from repro.lowlevel.program import Function, Instr, Opcode, Program
 from repro.parallel.snapshot import path_record_of, restore_state, snapshot_state
 from repro.solver.constraints import ConstraintSet
 from repro.solver.csp import CspSolver
@@ -146,7 +148,56 @@ class TestStateSnapshots:
             for key, value in snap.mem_changed.items()
         )
         restored = restore_state(snap, engine.program, sid=1)
-        assert restored.machine.memory.to_dict() == root.machine.memory.to_dict()
+        assert dict(restored.machine.memory) == dict(root.machine.memory)
+
+
+class TestMemoryDelta:
+    """Memory ships as its delta against the program's static data."""
+
+    @staticmethod
+    def _engine() -> LowLevelEngine:
+        # Stores 42 to the fresh word 900, then over the static word 500.
+        program = Program()
+        program.add_function(Function("main", 0, 2, [
+            Instr(Opcode.CONST, dst=0, a=900),
+            Instr(Opcode.CONST, dst=1, a=42),
+            Instr(Opcode.STORE, a=0, b=1),
+            Instr(Opcode.CONST, dst=0, a=500),
+            Instr(Opcode.STORE, a=0, b=1),
+            Instr(Opcode.RET, a=None),
+        ]))
+        program.set_static(500, [7, 8])
+        return LowLevelEngine(program.finalize())
+
+    def test_booted_state_ships_an_empty_delta(self):
+        snap = snapshot_state(self._engine().new_state())
+        assert snap.mem_changed == {}
+        assert snap.mem_deleted == ()
+
+    def test_one_store_ships_one_word(self):
+        engine = self._engine()
+        state = engine.new_state()
+        engine.run_path(state, max_instrs=3)
+        assert state.status == Status.BUDGET_EXCEEDED
+        snap = snapshot_state(state)
+        assert snap.mem_changed == {900: 42}
+        assert snap.mem_deleted == ()
+
+    def test_overwritten_static_word_roundtrips(self):
+        engine = self._engine()
+        state = engine.new_state()
+        engine.run_path(state)
+        assert state.status == Status.HALTED
+        snap = pickle.loads(pickle.dumps(snapshot_state(state)))
+        assert snap.mem_changed == {900: 42, 500: 42}
+        restored = restore_state(snap, engine.program, sid=1)
+        assert dict(restored.machine.memory) == {900: 42, 500: 42, 501: 8}
+        assert engine.program.static_data == {500: 7, 501: 8}
+        del restored.machine.memory[501]
+        snap = snapshot_state(restored)
+        assert snap.mem_deleted == (501,)
+        again = restore_state(snap, engine.program, sid=2)
+        assert dict(again.machine.memory) == {900: 42, 500: 42}
 
 
 class TestCrossProcessRoundtrip:

@@ -66,14 +66,12 @@ class CupaTree:
         path: List[tuple] = []
         node = self._root
         for level_index in range(len(self._classifiers)):
-            keys = [k for k, v in node.classes.items() if _subtree_size(v) > 0]
-            if not keys:
-                return None
+            # Never empty: _prune drops every class it empties.
+            ordered = sorted(node.classes, key=repr)
             weight_fn = self._weight_fns[level_index]
             if weight_fn is None:
-                key = self._rng.choice(sorted(keys, key=repr))
+                key = self._rng.choice(ordered)
             else:
-                ordered = sorted(keys, key=repr)
                 weights = [max(weight_fn(k, level_index), 1e-12) for k in ordered]
                 key = self._rng.choices(ordered, weights=weights, k=1)[0]
             path.append((node, key))
@@ -91,11 +89,8 @@ class CupaTree:
         path: List[tuple] = []
         node = self._root
         for level_index in range(len(self._classifiers)):
-            keys = [k for k, v in node.classes.items() if _subtree_size(v) > 0]
-            if not keys:
-                return None
+            ordered = sorted(node.classes, key=repr)
             weight_fn = self._weight_fns[level_index]
-            ordered = sorted(keys, key=repr)
             if weight_fn is None:
                 key = self._rng.choice(ordered)
             else:
@@ -112,10 +107,16 @@ class CupaTree:
         return state
 
     def _prune(self, path: List[tuple]) -> None:
+        """Delete the classes on ``path`` that the last removal emptied.
+
+        So no class in the tree is ever empty, and selection can draw
+        from a level's classes as they stand.
+        """
         for node, key in reversed(path):
             child = node.classes[key]
-            if _subtree_size(child) == 0:
-                del node.classes[key]
+            if child if isinstance(child, list) else child.classes:
+                return  # non-empty, and so is every class above it
+            del node.classes[key]
 
     def states(self) -> List[object]:
         """All pending states (diagnostics)."""
@@ -131,8 +132,3 @@ class CupaTree:
         walk(self._root)
         return result
 
-
-def _subtree_size(node) -> int:
-    if isinstance(node, list):
-        return len(node)
-    return sum(_subtree_size(child) for child in node.classes.values())

@@ -35,7 +35,7 @@ class CompiledPyLite:
 
     def build_program(self) -> Program:
         """A fresh finalized LVM Program (one per Chef run)."""
-        return emit_program(self.module)
+        return emit_program(self.module, self.cfgs)
 
     def dump_ir(self) -> str:
         return self.module.dump()

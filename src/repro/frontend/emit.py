@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.frontend import tac
-from repro.frontend.cfg import Cfg, build_cfg
+from repro.frontend.cfg import Cfg
 from repro.frontend.runtime import (
     HP_ADDR,
     LINE_ADDR,
@@ -243,15 +243,19 @@ class _FunctionEmitter:
         b.emit(Opcode.STORE, a=addr, b=value_reg)
 
 
-def emit_program(module: TacModule) -> Program:
-    """Compile a lowered module into a finalized, runnable Program."""
+def emit_program(module: TacModule, cfgs: Dict[str, Cfg]) -> Program:
+    """Compile a lowered module and its CFGs into a finalized Program.
+
+    The program holds the process-wide runtime functions, shared with
+    every other PyLite program, next to its own.
+    """
     pool = StaticPool()
     program = Program(entry="main")
     for cell_owner in module.global_names:
         pool.global_cell(cell_owner)
     for name, fn in module.functions.items():
         lvm_name = "main" if name == "main" else f"py_{name}"
-        emitter = _FunctionEmitter(fn, build_cfg(fn), pool, lvm_name,
+        emitter = _FunctionEmitter(fn, cfgs[name], pool, lvm_name,
                                    is_main=name == "main")
         program.add_function(emitter.emit())
     for runtime_fn in build_runtime():

@@ -29,11 +29,16 @@ Exceptions: :func:`~.tac.EXC_IDS` type ids travel through the ``event``
 hypercall (``EVENT_UNCAUGHT_EXCEPTION`` with the current line), then
 ``end_symbolic(1)`` halts the machine — PyLite has no ``try``, so every
 raise ends the path, mirroring an uncaught CPython exception.
+
+The library does not depend on the guest program, so it is built once
+per process and every PyLite ``Program`` holds the same ``Function``
+objects (see :func:`build_runtime`).
 """
 
 from __future__ import annotations
 
-from typing import List
+import threading
+from typing import List, Optional, Tuple
 
 from repro.lowlevel import api
 from repro.lowlevel.program import Function, FunctionBuilder, Opcode
@@ -776,9 +781,28 @@ def _rt_make_symbolic() -> Function:
     return f.finish()
 
 
-def build_runtime() -> List[Function]:
-    """Every runtime function, ready to add to a fresh Program."""
-    return [
+_RUNTIME: Optional[Tuple[Function, ...]] = None
+_RUNTIME_LOCK = threading.Lock()
+
+
+def build_runtime() -> Tuple[Function, ...]:
+    """Every runtime function, built on first use and then shared.
+
+    Each call returns the same ``Function`` objects, which no program
+    changes, so the executor decodes their blocks once per process.  The
+    lock makes concurrent first callers (daemon sessions on their pump
+    threads) agree on one build.
+    """
+    global _RUNTIME
+    if _RUNTIME is None:
+        with _RUNTIME_LOCK:
+            if _RUNTIME is None:
+                _RUNTIME = _build()
+    return _RUNTIME
+
+
+def _build() -> Tuple[Function, ...]:
+    return (
         _rt_alloc(),
         _rt_raise(),
         _rt_check("rt_chklocal", _UNBOUND_LOCAL),
@@ -813,7 +837,7 @@ def build_runtime() -> List[Function]:
         _rt_sym_string(),
         _rt_sym_int(),
         _rt_make_symbolic(),
-    ]
+    )
 
 
 __all__ = [

@@ -47,7 +47,7 @@ class PyLiteEngine:
     # -- build ---------------------------------------------------------------
 
     def build_program(self) -> Program:
-        """Fresh LVM program (Chef mutates Programs; one per run)."""
+        """Fresh LVM program, one per run (its runtime functions are shared)."""
         return self.compiled.build_program()
 
     # -- symbolic execution ---------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import operator
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -37,7 +36,7 @@ from repro.lowlevel.expr import (
     truth_condition,
 )
 from repro.lowlevel.machine import Frame, MachineState, Status
-from repro.lowlevel.program import Function, Opcode, Program
+from repro.lowlevel.program import Function, Instr, Opcode, Program
 from repro.obs.metrics import MetricsRegistry, counter_property
 from repro.obs.telemetry import Telemetry
 from repro.solver.backend import SolverBackend
@@ -240,6 +239,7 @@ _ENGINE_STAT_FIELDS = (
     "symptr_forks",
     "instrs_executed",
     "instrs_stepped",
+    "blocks_decoded",
     "states_activated",
     "states_infeasible",
     "states_timeout",
@@ -299,10 +299,6 @@ class LowLevelEngine:
         self.stats = EngineStats(telemetry.registry)
         self._next_sid = 0
         self.namespace = fresh_namespace()
-        # Decode caches keyed by function name (pc -> instruction function,
-        # entry pc -> block); they live here, not on the picklable Program.
-        self._ops: Dict[str, list] = {}
-        self._blocks: Dict[str, dict] = defaultdict(dict)
         # Listener hooks (set by the Chef engine).
         self.on_log_pc: Optional[Callable[[State, int, int], None]] = None
         self.on_fork: Optional[Callable[[State, State], None]] = None
@@ -532,7 +528,7 @@ class LowLevelEngine:
             frame = frames[-1]
             if frame.func is not func:
                 func = frame.func
-                blocks = self._blocks[func.name]
+                blocks = func.blocks
             pc = frame.pc
             body, transfer, n = blocks.get(pc) or self._decode_block(func, pc)
             count = state.instr_count
@@ -561,7 +557,7 @@ class LowLevelEngine:
                 if bail is not None:
                     break
             else:
-                bail = transfer(state, frame, regs)
+                bail = transfer(state, frame, regs, self)
                 if bail is None:
                     continue
             # Give back the instructions from ``bail`` on, and step it.
@@ -573,15 +569,20 @@ class LowLevelEngine:
         """Decode the block entered at ``entry``: ``(body, transfer, n)``.
 
         ``body`` runs straight-line instructions as ``run(regs, memory)``,
-        ``transfer(state, frame, regs)`` is the control transfer that ends
-        the block, and ``n`` counts both.  A function returns its own pc
-        when its fast path does not apply.  Each instruction is decoded
-        once and shared by every block that covers it.
+        ``transfer(state, frame, regs, engine)`` is the control transfer
+        that ends the block, and ``n`` counts both.  A function returns
+        its own pc when its fast path does not apply.  Each instruction is
+        decoded once and shared by every block that covers it.
+
+        The block is cached in ``func.blocks``, where every engine of the
+        process finds it.  Two threads may decode one block at once: the
+        results are equal and bind nothing of either engine, so whichever
+        lands last serves as well as the other.
         """
         instrs = func.instrs
-        ops = self._ops.get(func.name)
+        ops = func.ops
         if ops is None:
-            ops = self._ops[func.name] = [None] * len(instrs)
+            ops = func.ops = [None] * len(instrs)
         pc = entry
         while pc < len(instrs):
             if ops[pc] is None:
@@ -591,22 +592,26 @@ class LowLevelEngine:
                 break
             pc += 1
         else:  # past the end there is nothing to run: the stepper faults
-            def transfer(state, frame, regs):
+            def transfer(state, frame, regs, engine):
                 return pc
-        block = self._blocks[func.name][entry] = (
+        block = func.blocks[entry] = (
             tuple(ops[entry:pc]), transfer, pc - entry + 1
         )
+        self.stats.blocks_decoded += 1
         return block
 
-    def _decode_instr(self, ins, pc: int) -> Callable:
+    @staticmethod
+    def _decode_instr(ins: Instr, pc: int) -> Callable:
         """One instruction as a function (its concrete fast path).
 
         Operands are bound as default arguments rather than closure
         cells.  That allocates a third of the objects per instruction,
         which matters for cold code: it runs only a few times per decode.
+        An op binds nothing of one engine or one program, since every
+        program that holds the function shares it: CALL looks its callee
+        up in the running program, and HYPER calls the engine it is handed.
         """
         op, dst, a, b, extra = ins.op, ins.dst, ins.a, ins.b, ins.extra
-        callee = self.program.functions.get(extra) if op == Opcode.CALL else None
         if op == Opcode.CONST:
             def run(regs, memory, dst=dst, a=a):
                 regs[dst] = a
@@ -647,33 +652,42 @@ class LowLevelEngine:
                     return pc
                 memory[addr] = regs[b]
         elif op == Opcode.JMP:
-            def run(state, frame, regs, a=a):
+            def run(state, frame, regs, engine, a=a):
                 frame.pc = a
         elif op == Opcode.BR:
-            def run(state, frame, regs, a=a, b=b, extra=extra, pc=pc):
+            def run(state, frame, regs, engine, a=a, b=b, extra=extra, pc=pc):
                 cond = regs[a]
                 if type(cond) is not int:
                     return pc
                 frame.pc = b if cond else extra
-        elif callee is not None and len(ins.args or ()) == callee.n_params:
-            # MachineState.push_frame inline; a stack overflow bails.
-            def run(state, frame, regs, dst=dst, pc=pc, callee=callee,
+        elif op == Opcode.CALL:
+            # MachineState.push_frame inline; an undefined callee, a wrong
+            # arity or a stack overflow bails.
+            def run(state, frame, regs, engine, dst=dst, pc=pc, name=extra,
                     arg_regs=tuple(ins.args or ()),
-                    padding=(0,) * (callee.n_regs - callee.n_params),
                     max_depth=MachineState.MAX_CALL_DEPTH):
-                frames = state.machine.frames
-                if len(frames) >= max_depth:
+                machine = state.machine
+                callee = machine.program.functions.get(name)
+                frames = machine.frames
+                if (
+                    callee is None
+                    or callee.n_params != len(arg_regs)
+                    or len(frames) >= max_depth
+                ):
                     return pc
                 frame.pc = pc + 1
+                callee_regs = [0] * callee.n_regs
+                for index, reg in enumerate(arg_regs):
+                    callee_regs[index] = regs[reg]
                 callee_frame = Frame.__new__(Frame)
                 callee_frame.func = callee
                 callee_frame.pc = 0
-                callee_frame.regs = [*map(regs.__getitem__, arg_regs), *padding]
+                callee_frame.regs = callee_regs
                 callee_frame.ret_dst = dst
                 frames.append(callee_frame)
         elif op == Opcode.RET:
             # MachineState.pop_frame inline, halting after the entry function.
-            def run(state, frame, regs, a=a):
+            def run(state, frame, regs, engine, a=a):
                 frames = state.machine.frames
                 frames.pop()
                 if frames:
@@ -683,13 +697,13 @@ class LowLevelEngine:
                     state.machine.status = Status.HALTED
                     state.machine.halt_code = 0
         elif op == Opcode.HYPER:
-            def run(state, frame, regs, dst=dst, next_pc=pc + 1, extra=extra,
-                    arg_regs=ins.args or (), hypercall=self._hypercall):
+            def run(state, frame, regs, engine, dst=dst, next_pc=pc + 1, extra=extra,
+                    arg_regs=ins.args or ()):
                 frame.pc = next_pc
-                result = hypercall(state, extra, [regs[r] for r in arg_regs])
+                result = engine._hypercall(state, extra, [regs[r] for r in arg_regs])
                 if dst is not None:
                     regs[dst] = result if result is not None else 0
-        else:  # faulting operators, bad callees or arity: always the stepper
+        else:  # faulting or unknown operators: always the stepper
             def run(*_args, pc=pc):
                 return pc
         return run

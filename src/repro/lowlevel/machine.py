@@ -88,7 +88,7 @@ class MachineState:
     def current_ll_pc(self) -> int:
         """Globally unique id of the next instruction to execute."""
         frame = self.top
-        return frame.func.instr_id(frame.pc)
+        return self.program.instr_id(frame.func.name, frame.pc)
 
     def push_frame(self, func: Function, args: List, ret_dst: Optional[int]) -> None:
         if len(self.frames) >= self.MAX_CALL_DEPTH:

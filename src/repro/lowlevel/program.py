@@ -84,22 +84,35 @@ class Instr:
 
 @dataclass
 class Function:
-    """A compiled LIR function."""
+    """A compiled LIR function.
+
+    A function is not changed once built, so one object may sit in many
+    programs (every PyLite program holds the same runtime functions).
+    Its global instruction ids therefore belong to the :class:`Program`.
+    """
 
     name: str
     n_params: int
     n_regs: int
     instrs: List[Instr] = field(default_factory=list)
-    #: global id of instruction 0; assigned by Program.finalize().
-    base_id: int = -1
     #: optional source line per instruction (debugging).
     lines: List[int] = field(default_factory=list)
+    #: the executor's decode cache (entry pc -> block, pc -> op), shared
+    #: by every engine that runs this function; never pickled or compared.
+    blocks: Dict[int, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    ops: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
-    def instr_id(self, index: int) -> int:
-        """Globally unique low-level PC for the instruction at ``index``."""
-        if self.base_id < 0:
-            raise MachineError(f"function {self.name!r} not finalized")
-        return self.base_id + index
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["blocks"]
+        state.pop("ops", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.blocks = {}
 
     def disassemble(self) -> str:
         header = f"fn {self.name}({self.n_params} params, {self.n_regs} regs)"
@@ -118,7 +131,8 @@ class Program:
         #: first address past static data; guests initialise heaps here.
         self.data_end: int = 0
         self._finalized = False
-        self._id_to_loc: Dict[int, Tuple[str, int]] = {}
+        #: function name -> global id of its instruction 0 (finalize()).
+        self._base_ids: Dict[str, int] = {}
 
     def add_function(self, func: Function) -> None:
         if self._finalized:
@@ -133,28 +147,45 @@ class Program:
         self.data_end = max(self.data_end, addr + len(values))
 
     def finalize(self) -> "Program":
-        """Assign global instruction ids; must be called before execution."""
+        """Assign global instruction ids; must be called before execution.
+
+        Functions are laid out back to back in name order.
+        """
         next_id = 0
-        self._id_to_loc.clear()
+        self._base_ids = {}
         for name in sorted(self.functions):
-            func = self.functions[name]
-            func.base_id = next_id
-            for index in range(len(func.instrs)):
-                self._id_to_loc[next_id + index] = (name, index)
-            next_id += len(func.instrs)
+            self._base_ids[name] = next_id
+            next_id += len(self.functions[name].instrs)
         self._finalized = True
         return self
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self._finalized:
+            # Ids derive from the functions.  Images pickled while they
+            # lived on each Function (older checkpoints) carry none here.
+            self.finalize()
 
     @property
     def finalized(self) -> bool:
         return self._finalized
 
+    def instr_id(self, name: str, index: int) -> int:
+        """Globally unique low-level PC of instruction ``index`` of ``name``."""
+        try:
+            return self._base_ids[name] + index
+        except KeyError:
+            raise MachineError(
+                f"function {name!r} is not in the finalized program"
+            ) from None
+
     def locate(self, instr_id: int) -> Tuple[str, int]:
         """Map a global low-level PC back to (function, index)."""
-        try:
-            return self._id_to_loc[instr_id]
-        except KeyError:
-            raise MachineError(f"unknown instruction id {instr_id}") from None
+        for name, base in self._base_ids.items():
+            index = instr_id - base
+            if 0 <= index < len(self.functions[name].instrs):
+                return name, index
+        raise MachineError(f"unknown instruction id {instr_id}")
 
     def get_function(self, name: str) -> Function:
         try:

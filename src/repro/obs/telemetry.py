@@ -201,7 +201,12 @@ class Telemetry:
 
     def metrics(self) -> Dict:
         """Merged snapshot: own registry + adopted registries/snapshots."""
-        parts: List[Dict] = [self.registry.snapshot()]
+        snapshot = self.registry.snapshot()
+        if not self._adopted and not self._adopted_snapshots:
+            # Merging one snapshot gives it back, at a cost the serial
+            # loop would pay after every path.
+            return snapshot
+        parts: List[Dict] = [snapshot]
         parts.extend(registry.snapshot() for registry in self._adopted)
         parts.extend(self._adopted_snapshots)
         return merge_snapshots(parts)

@@ -110,3 +110,91 @@ class TestClassUniformity:
         tree.select()
         tree.add(FakeState(2, 2, "b"))
         assert tree.select().name == "b"
+
+
+def _empty_classes(tree):
+    """Classes anywhere in ``tree`` that hold no state."""
+    empty = []
+
+    def walk(node):
+        for key, child in node.classes.items():
+            if isinstance(child, list):
+                if not child:
+                    empty.append(key)
+            elif not child.classes:
+                empty.append(key)
+            else:
+                walk(child)
+
+    walk(tree._root)
+    return empty
+
+
+class TestNoEmptyClasses:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_no_empty_class_survives_add_select_drain(self, weighted):
+        from repro.chef.strategies import SearchStrategy
+
+        rng = random.Random(7)
+        tree = _tree(random.Random(3))
+        select = (
+            (lambda: tree.select_weighted_leaf(lambda s: 1.0 + s.name % 3))
+            if weighted else tree.select
+        )
+        added = 0
+        for _ in range(400):
+            if rng.random() < 0.55:
+                tree.add(FakeState(rng.randrange(4), rng.randrange(3), added))
+                added += 1
+            else:
+                select()
+            assert _empty_classes(tree) == []
+            assert len(tree.states()) == len(tree)
+
+        class Strategy(SearchStrategy):
+            def select(self):
+                return select()
+
+        drained = Strategy().drain()
+        assert len(drained) > 0
+        assert len(tree) == 0 and tree._root.classes == {}
+        assert select() is None
+
+
+#: seed-1 turnstile-4 PathCompleted inputs, in event order, as CUPA chose
+#: them before selection stopped re-measuring class sizes.
+TURNSTILE_4_ORDER = {
+    "cupa-path": [
+        "cpcp", "cccp", "c\x00cp", "cpc\x00", "\x00pcp", "cccc", "ccc\x00",
+        "cp\x00p", "cpcc", "ppcp", "ppcc", "p\x00cp", "pccp", "ppc\x00",
+        "pc\x00p", "pcc\x00", "cc\x00p", "ccpp", "cppp", "ccp\x00", "cppc",
+        "pppp", "cpp\x00", "pppc", "pp\x00p", "pccc", "ppp\x00", "pcpp",
+        "pcp\x00", "pcpc", "ccpc",
+    ],
+    "cupa-cov": [
+        "cpcp", "cpcc", "c\x00cp", "cpc\x00", "cp\x00p", "\x00pcp", "cppp",
+        "ppcp", "pp\x00p", "ppcc", "cpp\x00", "cppc", "ppc\x00", "cccp",
+        "pccp", "cccc", "cc\x00p", "pccc", "pc\x00p", "pcc\x00", "p\x00cp",
+        "pcpp", "pcpc", "ccpp", "ccc\x00", "ccp\x00", "ccpc", "pcp\x00",
+        "pppp", "pppc", "ppp\x00",
+    ],
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(TURNSTILE_4_ORDER))
+def test_turnstile_path_order_is_unchanged(strategy):
+    from repro.api import Session, get_language
+    from repro.api.events import PathCompleted
+    from repro.chef.options import ChefConfig
+    from repro.targets import pylite_packages as PL
+
+    (_kind, name, _default), = PL.TURNSTILE_TEST["inputs"]
+    declaration = get_language("pylite").declare_string(name, "cpcp")
+    source = f"{PL.TURNSTILE_SOURCE}\n{declaration}\n{PL.TURNSTILE_TEST['body']}\n"
+    config = ChefConfig(seed=1, time_budget=120.0, strategy=strategy)
+    order = [
+        bytes(event.case.inputs["b0"]).decode("latin-1")
+        for event in Session("pylite", source, config).events()
+        if isinstance(event, PathCompleted)
+    ]
+    assert order == TURNSTILE_4_ORDER[strategy]

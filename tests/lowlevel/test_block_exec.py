@@ -286,3 +286,36 @@ def test_engine_counters_split_block_and_stepped_instructions():
     stats = engine.stats.as_dict()
     assert stats["instrs_executed"] == 6
     assert stats["instrs_stepped"] == 1
+
+
+def test_shared_function_resolves_callees_in_each_program():
+    # One caller Function sits in two programs whose "leaf" differs.
+    # Its decoded blocks are shared, so its CALL must look the callee up
+    # in the running program and its HYPER must call the running engine.
+    caller = Function("main", 0, 2, [
+        Instr(Opcode.CALL, dst=0, extra="leaf", args=[]),
+        Instr(Opcode.HYPER, extra=api.OUT, args=[0]),
+        Instr(Opcode.HYPER, extra=api.EVENT, args=[0]),
+        Instr(Opcode.RET, a=None),
+    ])
+    engines = []
+    for value in (11, 22):
+        program = Program()
+        program.add_function(caller)
+        program.add_function(Function("leaf", 0, 1, [
+            Instr(Opcode.CONST, dst=0, a=value),
+            Instr(Opcode.RET, a=0),
+        ]))
+        engine = _engine(program.finalize())
+        state = engine.new_state()
+        engine.run_path(state)
+        assert state.status == Status.HALTED
+        assert state.machine.output == [value]
+        engines.append(engine)
+    first, second = (engine.stats.as_dict() for engine in engines)
+    assert first["events"] == second["events"] == 1
+    assert first["instrs_stepped"] == second["instrs_stepped"] == 0
+    # Four blocks of the caller and one of each leaf: the second engine
+    # found the caller's blocks decoded.
+    assert first["blocks_decoded"] == 4 + 1
+    assert second["blocks_decoded"] == 1

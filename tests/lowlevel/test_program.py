@@ -1,5 +1,7 @@
 """LIR program model tests."""
 
+import pickle
+
 import pytest
 
 from repro.errors import MachineError
@@ -67,7 +69,7 @@ class TestProgram:
         for name in ("a", "b"):
             func = prog.get_function(name)
             for i in range(len(func.instrs)):
-                ids.add(func.instr_id(i))
+                ids.add(prog.instr_id(name, i))
         assert len(ids) == 7
 
     def test_locate_roundtrip(self):
@@ -75,8 +77,38 @@ class TestProgram:
         prog.add_function(_trivial_function("a", 2))
         prog.add_function(_trivial_function("b", 2))
         prog.finalize()
-        func = prog.get_function("b")
-        assert prog.locate(func.instr_id(1)) == ("b", 1)
+        assert prog.locate(prog.instr_id("b", 1)) == ("b", 1)
+
+    def test_locate_skips_empty_functions(self):
+        prog = Program("a")
+        prog.add_function(Function("a", 0, 0, []))
+        prog.add_function(_trivial_function("b", 2))
+        prog.add_function(Function("c", 0, 0, []))
+        prog.finalize()
+        assert prog.instr_id("a", 0) == prog.instr_id("b", 0) == 0
+        assert [prog.locate(i) for i in range(2)] == [("b", 0), ("b", 1)]
+        with pytest.raises(MachineError):
+            prog.locate(2)
+
+    def test_instr_id_needs_finalize(self):
+        prog = Program("a")
+        prog.add_function(_trivial_function("a"))
+        with pytest.raises(MachineError):
+            prog.instr_id("a", 0)
+
+    def test_finalize_leaves_functions_untouched(self):
+        # One Function may sit in several programs: its ids live on each.
+        shared = _trivial_function("s", 2)
+        first, second = Program("s"), Program("s")
+        first.add_function(shared)
+        second.add_function(_trivial_function("a", 3))
+        second.add_function(shared)
+        before = dict(shared.__dict__)
+        first.finalize()
+        second.finalize()
+        assert shared.__dict__ == before
+        assert first.instr_id("s", 1) == 1
+        assert second.instr_id("s", 1) == 4
 
     def test_locate_unknown_raises(self):
         prog = Program("a")
@@ -84,6 +116,17 @@ class TestProgram:
         prog.finalize()
         with pytest.raises(MachineError):
             prog.locate(10_000)
+
+    def test_unpickled_program_has_its_ids(self):
+        prog = Program("a")
+        prog.add_function(_trivial_function("a", 2))
+        prog.add_function(_trivial_function("b", 3))
+        prog.finalize()
+        # An image pickled before the ids moved onto the Program.
+        del prog._base_ids
+        restored = pickle.loads(pickle.dumps(prog))
+        assert restored.instr_id("b", 1) == 3
+        assert restored.locate(3) == ("b", 1)
 
     def test_duplicate_function_rejected(self):
         prog = Program("a")

@@ -124,3 +124,56 @@ class TestCounterProperty:
         assert before == 3
         assert stats.queries == 4
         assert registry.snapshot()["solver.queries"] == 4
+
+
+class TestTelemetryMetrics:
+    def _telemetry(self):
+        from repro.obs.telemetry import Telemetry
+
+        telemetry = Telemetry(enabled=True)
+        registry = telemetry.registry
+        registry.counter("engine.forks").inc(3)
+        registry.gauge("solver.entries").set(2.5)
+        registry.histogram("span.empty", 5)
+        slow = registry.histogram("span.solver.check", 5)
+        # Ties and more observations than are kept: the order of the
+        # kept ones must survive unchanged.
+        for value, label in [(0.5, "a"), (0.25, "b"), (0.5, "c"), (0.75, "d"),
+                             (0.25, "e"), (0.5, "f"), (0.1, "g"), (0.75, "h")]:
+            slow.observe(value, label)
+        return telemetry
+
+    def test_unadopted_metrics_equal_the_merged_snapshot(self):
+        telemetry = self._telemetry()
+        metrics = telemetry.metrics()
+        assert metrics == merge_snapshots([telemetry.registry.snapshot()])
+        assert list(metrics) == list(merge_snapshots([telemetry.registry.snapshot()]))
+        assert metrics["span.solver.check"]["slowest"] == [
+            [0.75, "d"], [0.75, "h"], [0.5, "a"], [0.5, "c"], [0.5, "f"]
+        ]
+
+    def test_a_session_reports_the_merged_snapshot(self):
+        from repro.api import Session
+        from repro.chef.options import ChefConfig
+        from repro.clay import compile_program
+
+        program = compile_program("""
+        const BUF = 700;
+        fn main() {
+            make_symbolic(BUF, 2, 0, 255);
+            if (load(BUF) == 'a') { out(1); } else { out(0); }
+            end_symbolic();
+        }
+        """).program
+        session = Session.from_program(program, ChefConfig(seed=1, trace=True))
+        session.run()
+        telemetry = session.telemetry
+        assert not telemetry._adopted and not telemetry._adopted_snapshots
+        assert telemetry.metrics() == merge_snapshots([telemetry.registry.snapshot()])
+
+    def test_adopted_registries_still_merge(self):
+        telemetry = self._telemetry()
+        other = MetricsRegistry()
+        other.counter("engine.forks").inc(2)
+        telemetry.adopt_registry(other)
+        assert telemetry.metrics()["engine.forks"] == 5

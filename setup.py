@@ -1,9 +1,22 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Packaging metadata for the ``repro`` library.
 
-All metadata lives in pyproject.toml; this file only enables
-``pip install -e . --no-build-isolation`` with legacy setuptools.
+The version is read from ``src/repro/__init__.py`` so it has one
+source.  ``pip install .`` installs every package under ``src/``.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(
+    r'^__version__ = "([^"]+)"$', _INIT.read_text(encoding="utf-8"), re.M
+).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

@@ -61,11 +61,11 @@ class ClayCompileError(ClayError):
 
 
 class InterpreterError(ReproError):
-    """Base class for the MiniPy/MiniLua host toolchains."""
+    """Base class for the MiniPy host toolchain."""
 
 
 class MiniLangSyntaxError(InterpreterError):
-    """Malformed MiniPy/MiniLua source."""
+    """Malformed MiniPy source."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
         super().__init__(f"{line}:{column}: {message}" if line else message)
@@ -74,8 +74,8 @@ class MiniLangSyntaxError(InterpreterError):
 
 
 class MiniLangCompileError(InterpreterError):
-    """Semantic error while compiling MiniPy/MiniLua to bytecode."""
+    """Semantic error while compiling MiniPy to bytecode."""
 
 
 class HostVMError(InterpreterError):
-    """Raised by the host reference interpreters on internal faults."""
+    """Raised by the MiniPy host reference interpreter on internal faults."""

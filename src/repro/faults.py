@@ -208,10 +208,3 @@ def make_injector(plan: Optional[FaultPlan]) -> Optional[FaultInjector]:
     if plan is None or plan.is_noop:
         return None
     return FaultInjector(plan)
-
-
-def strip_noop(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
-    """Normalise a no-op plan to None (keeps wire specs minimal)."""
-    if plan is None or plan.is_noop:
-        return None
-    return plan

@@ -6,9 +6,8 @@ The built-in one is PyLite (:mod:`repro.interpreters.pylite`), a Python
 subset lowered straight to LVM bytecode by :mod:`repro.frontend` and
 replayed under CPython.
 
-:mod:`repro.interpreters.minipy` and :mod:`repro.interpreters.minilua`
-hold the host toolchains of the paper's two case studies (lexer,
-parser, bytecode compiler, reference host VM).  They register no
-language: running them symbolically needs their interpreters written
-in Clay, which this tree does not have.
+:mod:`repro.interpreters.minipy` holds the host toolchain of the
+paper's Python case study (lexer, parser, bytecode compiler, reference
+host VM).  It registers no language: running it symbolically needs
+its interpreter written in Clay, which this tree does not have.
 """

@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 import sys
 from hashlib import blake2b
-from typing import Dict, FrozenSet, Iterable, Optional, Union
+from typing import Dict, FrozenSet, Optional, Union
 
 # Deeply nested expressions arise from loops over symbolic buffers (hash
 # functions, string scans).  Recursive traversals need headroom.
@@ -671,11 +671,3 @@ def truth_condition(cond: Value) -> Value:
     if not isinstance(cond, Expr):
         return int(cond != 0)
     return cond if is_condition(cond) else mk_binop("ne", cond, 0)
-
-
-def conjoin(conds: Iterable[Value]) -> Value:
-    """Conjunction of conditions (used for reporting, not solving)."""
-    acc: Value = 1
-    for c in conds:
-        acc = mk_binop("land", acc, truth_condition(c))
-    return acc

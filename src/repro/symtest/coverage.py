@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Set, Tuple
+from typing import Set
 
 
 def coverage_percent(covered: Set[int], coverable_count: int) -> float:
@@ -12,21 +12,14 @@ def coverage_percent(covered: Set[int], coverable_count: int) -> float:
     return 100.0 * len(covered) / coverable_count
 
 
-def merge_coverage(parts: Iterable[Set[int]]) -> Set[int]:
-    merged: Set[int] = set()
-    for part in parts:
-        merged |= part
-    return merged
-
-
 def count_loc(source: str, *, comment_prefix: str) -> int:
     """Non-blank, non-comment source lines (the paper uses cloc).
 
     ``comment_prefix`` is keyword-only and has no default on purpose:
     the prefix belongs to the :class:`~repro.api.language.GuestLanguage`
     under measurement (``language.loc(source)`` passes it), and a silent
-    ``"#"`` default let Lua sources be miscounted at call sites that
-    forgot to pass one.
+    ``"#"`` default would miscount any language with another comment
+    syntax at call sites that forgot to pass one.
     """
     count = 0
     for line in source.split("\n"):

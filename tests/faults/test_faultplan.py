@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SolverTimeout
-from repro.faults import FaultInjector, FaultPlan, make_injector, strip_noop
+from repro.faults import FaultInjector, FaultPlan, make_injector
 
 
 class TestFaultPlan:
@@ -47,14 +47,11 @@ class TestMakeInjector:
     def test_none_and_noop_plans_yield_no_injector(self):
         assert make_injector(None) is None
         assert make_injector(FaultPlan()) is None
-        assert strip_noop(FaultPlan()) is None
-        assert strip_noop(None) is None
 
     def test_real_plan_yields_injector(self):
         plan = FaultPlan(kill_chunk=(0, 1))
         injector = make_injector(plan)
         assert isinstance(injector, FaultInjector)
-        assert strip_noop(plan) is plan
 
 
 class TestKillHook:

@@ -5,7 +5,7 @@ import pytest
 from repro.chef.options import ChefConfig
 from repro.errors import ReproError
 from repro.symtest import SymbolicTest, SymbolicTestRunner
-from repro.symtest.coverage import count_loc, coverage_percent, merge_coverage
+from repro.symtest.coverage import count_loc, coverage_percent
 from repro.symtest.library import SimpleSymbolicTest
 from repro.targets import target_by_name
 
@@ -62,16 +62,6 @@ class TestSymbolicTestApi:
     def test_quoting_non_printable(self):
         test = SimpleSymbolicTest([("str", "s", "\x00a\"\\")], "print(s)")
         assert 's = sym_string("\\x00a\\"\\\\")' in test.build_driver()
-
-    def test_minilua_quoted_string_round_trips(self):
-        # Quotes and backslashes in MiniLua seeds must survive the
-        # frontend lexer byte-for-byte.
-        from repro.api.language import escape_double_quoted
-        from repro.interpreters.minilua.frontend import tokenize_lua
-
-        for seed in ['a"b', "back\\slash", '\\"mix\\\\"', "\x00\x7f\xff"]:
-            tokens = tokenize_lua(f"s = sym_string({escape_double_quoted(seed)})\n")
-            assert [t.value for t in tokens if t.kind == "str"] == [seed]
 
     def test_default_language_is_pylite(self):
         # The default guest is one that runs: a test built without
@@ -159,9 +149,6 @@ class TestCoverageHelpers:
     def test_percent(self):
         assert coverage_percent({1, 2}, 4) == 50.0
         assert coverage_percent(set(), 0) == 0.0
-
-    def test_merge(self):
-        assert merge_coverage([{1}, {2}, {1, 3}]) == {1, 2, 3}
 
     def test_count_loc_skips_comments_and_blanks(self):
         assert count_loc("a = 1\n\n# c\nb = 2\n", comment_prefix="#") == 2

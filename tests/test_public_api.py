@@ -1,5 +1,9 @@
 """Public API smoke tests (the README quickstart must work)."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -73,3 +77,15 @@ print(check(data))
     assert exceptional[0].input_string("b0")[0] == "@"
     for case in found:
         assert session.replay(case).output == case.output
+
+
+def test_setup_py_declares_name_and_version():
+    # The distribution's metadata comes from setup.py, and its version
+    # from repro.__version__; this command writes no files.
+    repo_root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version"],
+        cwd=repo_root, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["repro", repro.__version__]

@@ -5,7 +5,11 @@ address of a tagged box, and every operator lowers to a ``CALL`` into one
 of these functions.  The library plays the part of the paper's
 interpreter runtime — except here it is ~30 small LIR routines instead
 of a whole interpreter, because the frontend already compiled the
-control flow.
+control flow.  The engine pays for every instruction the routines run,
+so they are tuned the way Chef tunes its interpreter build: allocation
+and int boxing are inline (:meth:`Asm.alloc`, :meth:`Asm.box`), counted
+loops test at the bottom, and dict lookups compare key identity before
+value equality (:func:`_rt_dfind`).
 
 Memory layout (word-addressed):
 
@@ -112,12 +116,23 @@ class Asm:
     def store(self, addr_reg: int, value_reg: int) -> None:
         self.b.emit(Opcode.STORE, a=addr_reg, b=value_reg)
 
-    def storei(self, addr: int, value_reg: int) -> None:
-        self.store(self.imm(addr), value_reg)
-
     def store_at(self, base_reg: int, offset: int, value_reg: int) -> None:
         self.store(self.addi(base_reg, offset) if offset else base_reg,
                    value_reg)
+
+    def alloc(self, size_reg: int) -> int:
+        """Bump-allocate ``size_reg`` words inline; returns their address."""
+        hp_addr = self.imm(HP_ADDR)
+        hp = self.load(hp_addr)
+        self.store(hp_addr, self.add(hp, size_reg))
+        return hp
+
+    def box(self, word_reg: int) -> int:
+        """A fresh int box holding ``word_reg``, allocated inline."""
+        box = self.alloc(self.imm(2))
+        self.store(box, self.imm(TAG_INT))
+        self.store_at(box, 1, word_reg)
+        return box
 
     # control -----------------------------------------------------------------
     def label(self) -> int:
@@ -125,9 +140,6 @@ class Asm:
 
     def place(self, label: int) -> None:
         self.b.place_label(label)
-
-    def jmp(self, label: int) -> None:
-        self.b.emit(Opcode.JMP, a=FunctionBuilder.label_ref(label))
 
     def br(self, cond_reg: int, if_true: int, if_false: int) -> None:
         self.b.emit(Opcode.BR, a=cond_reg,
@@ -158,26 +170,32 @@ class Asm:
         self.call("rt_raise", [self.imm(exc_id)])
         self.reti(0)
 
-    def counter_loop(self, limit_reg: int):
-        """``for i in range(limit)`` scaffolding.
+    def counter_loop(self, limit_reg: int, start_reg: Optional[int] = None,
+                     step: int = 1):
+        """``for i in range(start, limit, step)`` scaffolding.
 
-        Returns ``(i, finish)`` — emit the body reading counter reg ``i``,
-        then call ``finish()`` to close the loop::
+        ``start_reg`` defaults to 0.  Returns ``(i, finish)`` — emit the
+        body reading counter reg ``i``, then call ``finish()`` to close
+        the loop::
 
             i, finish = asm.counter_loop(n)
             ...body...
             finish()
+
+        The loop is tested once on entry and then at the bottom, so an
+        iteration ends in its own ``i < limit`` branch back to the body
+        rather than in a ``JMP`` to a separate test block.
         """
         i = self.reg()
-        self.move(i, self.imm(0))
-        test, body, done = self.label(), self.label(), self.label()
-        self.place(test)
+        self.move(i, self.imm(0) if start_reg is None else start_reg)
+        step_reg = self.imm(step)
+        body, done = self.label(), self.label()
         self.br(self.bin("lt", i, limit_reg), body, done)
         self.place(body)
 
         def finish():
-            self.move(i, self.addi(i, 1))
-            self.jmp(test)
+            self.b.emit(Opcode.BIN, dst=i, a=i, b=step_reg, extra="add")
+            self.br(self.bin("lt", i, limit_reg), body, done)
             self.place(done)
 
         return i, finish
@@ -195,10 +213,9 @@ class Asm:
 
 
 def _rt_alloc() -> Function:
+    """:meth:`Asm.alloc` for emitted list and dict literals."""
     f = Asm("rt_alloc", 1)
-    hp = f.loadi(HP_ADDR)
-    f.storei(HP_ADDR, f.add(hp, 0))
-    f.ret(hp)
+    f.ret(f.alloc(0))
     return f.finish()
 
 
@@ -223,15 +240,6 @@ def _rt_check(name: str, exc_id: int) -> Function:
     return f.finish()
 
 
-def _rt_box() -> Function:
-    f = Asm("rt_box", 1)
-    box = f.call("rt_alloc", [f.imm(2)])
-    f.store_at(box, 0, f.imm(TAG_INT))
-    f.store_at(box, 1, 0)
-    f.ret(box)
-    return f.finish()
-
-
 def _rt_truth() -> Function:
     f = Asm("rt_truth", 1)
     tag = f.load(0)
@@ -252,7 +260,7 @@ def _rt_truth() -> Function:
 def _rt_not() -> Function:
     f = Asm("rt_not", 1)
     truth = f.call("rt_truth", [0])
-    f.ret(f.call("rt_box", [f.un("lnot", truth)]))
+    f.ret(f.box(f.un("lnot", truth)))
     return f.finish()
 
 
@@ -269,7 +277,7 @@ def _rt_intval() -> Function:
 
 def _rt_neg() -> Function:
     f = Asm("rt_neg", 1)
-    f.ret(f.call("rt_box", [f.un("neg", f.call("rt_intval", [0]))]))
+    f.ret(f.box(f.un("neg", f.call("rt_intval", [0]))))
     return f.finish()
 
 
@@ -277,7 +285,7 @@ def _rt_int_binop(name: str, op: str) -> Function:
     f = Asm(name, 2)
     wa = f.call("rt_intval", [0])
     wb = f.call("rt_intval", [1])
-    f.ret(f.call("rt_box", [f.bin(op, wa, wb)]))
+    f.ret(f.box(f.bin(op, wa, wb)))
     return f.finish()
 
 
@@ -293,7 +301,7 @@ def _rt_int_divlike(name: str, op: str) -> Function:
     f.place(zero)
     f.raise_(_ZERO_DIV)
     f.place(ok)
-    f.ret(f.call("rt_box", [f.bin(op, wa, wb)]))
+    f.ret(f.box(f.bin(op, wa, wb)))
     return f.finish()
 
 
@@ -307,7 +315,7 @@ def _rt_add() -> Function:
     int_ok, bad = f.label(), f.label()
     f.br_tag(tb, TAG_INT, int_ok, bad)
     f.place(int_ok)
-    f.ret(f.call("rt_box", [f.bin("add", f.load_at(0, 1), f.load_at(1, 1))]))
+    f.ret(f.box(f.bin("add", f.load_at(0, 1), f.load_at(1, 1))))
     f.place(not_int)
     str_a, not_str = f.label(), f.label()
     f.br_tag(ta, TAG_STR, str_a, not_str)
@@ -318,7 +326,7 @@ def _rt_add() -> Function:
     na = f.load_at(0, 1)
     nb = f.load_at(1, 1)
     total = f.add(na, nb)
-    box = f.call("rt_alloc", [f.addi(total, 2)])
+    box = f.alloc(f.addi(total, 2))
     f.store_at(box, 0, f.imm(TAG_STR))
     f.store_at(box, 1, total)
     f.copy_words(f.addi(box, 2), f.addi(0, 2), na)
@@ -334,8 +342,8 @@ def _rt_add() -> Function:
     na2 = f.load_at(0, 1)
     nb2 = f.load_at(1, 1)
     total2 = f.add(na2, nb2)
-    box2 = f.call("rt_alloc", [f.imm(4)])
-    elems = f.call("rt_alloc", [total2])
+    box2 = f.alloc(f.imm(4))
+    elems = f.alloc(total2)
     f.store_at(box2, 0, f.imm(TAG_LIST))
     f.store_at(box2, 1, total2)
     f.store_at(box2, 2, total2)
@@ -416,13 +424,13 @@ def _rt_eqw() -> Function:
 
 def _rt_eq() -> Function:
     f = Asm("rt_eq", 2)
-    f.ret(f.call("rt_box", [f.call("rt_eqw", [0, 1])]))
+    f.ret(f.box(f.call("rt_eqw", [0, 1])))
     return f.finish()
 
 
 def _rt_ne() -> Function:
     f = Asm("rt_ne", 2)
-    f.ret(f.call("rt_box", [f.un("lnot", f.call("rt_eqw", [0, 1]))]))
+    f.ret(f.box(f.un("lnot", f.call("rt_eqw", [0, 1]))))
     return f.finish()
 
 
@@ -439,7 +447,7 @@ def _rt_len() -> Function:
     f.place(bad)
     f.raise_(_TYPE_ERROR)
     f.place(ok)
-    f.ret(f.call("rt_box", [f.load_at(0, 1)]))
+    f.ret(f.box(f.load_at(0, 1)))
     return f.finish()
 
 
@@ -452,7 +460,6 @@ def _normalize_index(f: Asm, idx_box: int, length_reg: int) -> int:
     f.br(f.bin("lt", raw, f.imm(0)), neg, check)
     f.place(neg)
     f.move(norm, f.add(raw, length_reg))
-    f.jmp(check)
     f.place(check)
     ok, oob = f.label(), f.label()
     in_range = f.bin(
@@ -476,7 +483,7 @@ def _rt_index() -> Function:
     n = f.load_at(0, 1)
     i = _normalize_index(f, 1, n)
     ch = f.load(f.add(f.addi(0, 2), i))
-    box = f.call("rt_alloc", [f.imm(3)])
+    box = f.alloc(f.imm(3))
     f.store_at(box, 0, f.imm(TAG_STR))
     f.store_at(box, 1, f.imm(1))
     f.store_at(box, 2, ch)
@@ -492,25 +499,47 @@ def _rt_index() -> Function:
     is_dict, bad = f.label(), f.label()
     f.br_tag(tag, TAG_DICT, is_dict, bad)
     f.place(is_dict)
-    f.ret(f.call("rt_dget", [0, 1]))
+    slot = f.call("rt_dfind", [0, 1])
+    found, missing = f.label(), f.label()
+    f.br(slot, found, missing)
+    f.place(found)
+    f.ret(f.load_at(slot, 1))
+    f.place(missing)
+    f.raise_(_KEY_ERROR)
     f.place(bad)
     f.raise_(_TYPE_ERROR)
     return f.finish()
 
 
-def _rt_dget() -> Function:
-    f = Asm("rt_dget", 2)
-    n = f.load_at(0, 1)
+def _rt_dfind() -> Function:
+    """The address of ``key``'s entry in dict ``d``, or 0 if it is absent.
+
+    An identity pass comes first: it compares box addresses, which are
+    concrete, so it never forks, and interned literal keys hit it.  Keys
+    are unique under each path's constraints (:func:`_rt_dput` forks on
+    every equality before it appends), so a key whose box *is* the probe
+    is the only key equal to it.  Only a probe that is no key's box pays
+    the equality pass, whose ``rt_eqw`` branches fork on symbolic keys.
+    """
+    f = Asm("rt_dfind", 2)
     entries = f.load_at(0, 3)
-    i, finish = f.counter_loop(n)
-    slot = f.add(entries, f.add(i, i))
-    found, next_ = f.label(), f.label()
-    f.br(f.call("rt_eqw", [f.load(slot), 1]), found, next_)
-    f.place(found)
-    f.ret(f.load(f.addi(slot, 1)))
+    n = f.load_at(0, 1)
+    end = f.add(entries, f.add(n, n))
+    slot, finish = f.counter_loop(end, entries, 2)
+    same, next_ = f.label(), f.label()
+    f.br(f.bin("eq", f.load(slot), 1), same, next_)
+    f.place(same)
+    f.ret(slot)
     f.place(next_)
     finish()
-    f.raise_(_KEY_ERROR)
+    slot, finish = f.counter_loop(end, entries, 2)
+    equal, next_ = f.label(), f.label()
+    f.br(f.call("rt_eqw", [f.load(slot), 1]), equal, next_)
+    f.place(equal)
+    f.ret(slot)
+    f.place(next_)
+    finish()
+    f.reti(0)
     return f.finish()
 
 
@@ -537,29 +566,23 @@ def _rt_setindex() -> Function:
 
 def _rt_dput() -> Function:
     f = Asm("rt_dput", 3)
-    n = f.load_at(0, 1)
-    i, finish = f.counter_loop(n)
-    slot = f.add(f.load_at(0, 3), f.add(i, i))
-    found, next_ = f.label(), f.label()
-    f.br(f.call("rt_eqw", [f.load(slot), 1]), found, next_)
+    slot = f.call("rt_dfind", [0, 1])
+    found, absent = f.label(), f.label()
+    f.br(slot, found, absent)
     f.place(found)
-    f.store(f.addi(slot, 1), 2)
+    f.store_at(slot, 1, 2)
     f.reti(0)
-    f.place(next_)
-    finish()
+    f.place(absent)
+    n = f.load_at(0, 1)
     cap = f.load_at(0, 2)
-    room, grow = f.label(), f.label()
-    append = f.label()
-    f.br(f.bin("lt", n, cap), room, grow)
+    grow, append = f.label(), f.label()
+    f.br(f.bin("lt", n, cap), append, grow)
     f.place(grow)
     newcap = f.addi(f.bin("mul", cap, f.imm(2)), 4)
-    newent = f.call("rt_alloc", [f.bin("mul", newcap, f.imm(2))])
+    newent = f.alloc(f.bin("mul", newcap, f.imm(2)))
     f.copy_words(newent, f.load_at(0, 3), f.add(n, n))
     f.store_at(0, 2, newcap)
     f.store_at(0, 3, newent)
-    f.jmp(append)
-    f.place(room)
-    f.jmp(append)
     f.place(append)
     entries = f.load_at(0, 3)
     slot2 = f.add(entries, f.add(n, n))
@@ -579,17 +602,14 @@ def _rt_append() -> Function:
     f.place(ok)
     n = f.load_at(0, 1)
     cap = f.load_at(0, 2)
-    room, grow, push = f.label(), f.label(), f.label()
-    f.br(f.bin("lt", n, cap), room, grow)
+    grow, push = f.label(), f.label()
+    f.br(f.bin("lt", n, cap), push, grow)
     f.place(grow)
     newcap = f.addi(f.bin("mul", cap, f.imm(2)), 4)
-    newelems = f.call("rt_alloc", [newcap])
+    newelems = f.alloc(newcap)
     f.copy_words(newelems, f.load_at(0, 3), n)
     f.store_at(0, 2, newcap)
     f.store_at(0, 3, newelems)
-    f.jmp(push)
-    f.place(room)
-    f.jmp(push)
     f.place(push)
     f.store(f.add(f.load_at(0, 3), n), 1)
     f.store_at(0, 1, f.addi(n, 1))
@@ -611,7 +631,7 @@ def _rt_contains() -> Function:
     i, finish = f.counter_loop(n)
     f.move(acc, f.bin("lor", acc, f.call("rt_eqw", [f.load(f.add(elems, i)), 1])))
     finish()
-    f.ret(f.call("rt_box", [acc]))
+    f.ret(f.box(acc))
     f.place(n1)
     is_dict, n2 = f.label(), f.label()
     f.br_tag(tag, TAG_DICT, is_dict, n2)
@@ -624,7 +644,7 @@ def _rt_contains() -> Function:
     key = f.load(f.add(entries, f.add(di, di)))
     f.move(dacc, f.bin("lor", dacc, f.call("rt_eqw", [key, 1])))
     dfinish()
-    f.ret(f.call("rt_box", [dacc]))
+    f.ret(f.box(dacc))
     f.place(n2)
     is_str, bad = f.label(), f.label()
     f.br_tag(tag, TAG_STR, is_str, bad)
@@ -637,7 +657,7 @@ def _rt_contains() -> Function:
     empty, non_empty = f.label(), f.label()
     f.br(f.bin("eq", nn, f.imm(0)), empty, non_empty)
     f.place(empty)
-    f.ret(f.call("rt_box", [f.imm(1)]))
+    f.ret(f.box(f.imm(1)))
     f.place(non_empty)
     # substring scan: or over start offsets of and-folded char windows.
     sacc = f.reg()
@@ -649,7 +669,6 @@ def _rt_contains() -> Function:
     f.br(f.bin("lt", starts, f.imm(0)), pos, nonneg)
     f.place(pos)
     f.move(clamped, f.imm(0))
-    f.jmp(nonneg)
     f.place(nonneg)
     s, sfinish = f.counter_loop(clamped)
     window = f.reg()
@@ -661,7 +680,7 @@ def _rt_contains() -> Function:
     jfinish()
     f.move(sacc, f.bin("lor", sacc, window))
     sfinish()
-    f.ret(f.call("rt_box", [sacc]))
+    f.ret(f.box(sacc))
     f.place(bad)
     f.raise_(_TYPE_ERROR)
     return f.finish()
@@ -675,7 +694,7 @@ def _rt_ord() -> Function:
     one = f.label()
     f.br(f.bin("eq", f.load_at(0, 1), f.imm(1)), one, bad)
     f.place(one)
-    f.ret(f.call("rt_box", [f.load_at(0, 2)]))
+    f.ret(f.box(f.load_at(0, 2)))
     f.place(bad)
     f.raise_(_TYPE_ERROR)
     return f.finish()
@@ -694,7 +713,7 @@ def _rt_chr() -> Function:
     f.place(bad)
     f.raise_(_VALUE_ERROR)
     f.place(ok)
-    box = f.call("rt_alloc", [f.imm(3)])
+    box = f.alloc(f.imm(3))
     f.store_at(box, 0, f.imm(TAG_STR))
     f.store_at(box, 1, f.imm(1))
     f.store_at(box, 2, w)
@@ -735,7 +754,7 @@ def _rt_sym_string() -> Function:
     f.raise_(_TYPE_ERROR)
     f.place(ok)
     n = f.load_at(0, 1)
-    box = f.call("rt_alloc", [f.addi(n, 2)])
+    box = f.alloc(f.addi(n, 2))
     f.store_at(box, 0, f.imm(TAG_STR))
     f.store_at(box, 1, n)
     chars = f.addi(box, 2)
@@ -750,7 +769,7 @@ def _rt_sym_int() -> Function:
     seed = f.call("rt_intval", [0])
     lo = f.call("rt_intval", [1])
     hi = f.call("rt_intval", [2])
-    box = f.call("rt_alloc", [f.imm(2)])
+    box = f.alloc(f.imm(2))
     f.store_at(box, 0, f.imm(TAG_INT))
     payload = f.addi(box, 1)
     f.store(payload, seed)
@@ -765,7 +784,7 @@ def _rt_make_symbolic() -> Function:
     is_int, n1 = f.label(), f.label()
     f.br_tag(tag, TAG_INT, is_int, n1)
     f.place(is_int)
-    box = f.call("rt_alloc", [f.imm(2)])
+    box = f.alloc(f.imm(2))
     f.store_at(box, 0, f.imm(TAG_INT))
     payload = f.addi(box, 1)
     f.store(payload, f.load_at(0, 1))
@@ -807,7 +826,6 @@ def _build() -> Tuple[Function, ...]:
         _rt_raise(),
         _rt_check("rt_chklocal", _UNBOUND_LOCAL),
         _rt_check("rt_chkname", _NAME_ERROR),
-        _rt_box(),
         _rt_truth(),
         _rt_not(),
         _rt_intval(),
@@ -826,7 +844,7 @@ def _build() -> Tuple[Function, ...]:
         _rt_ne(),
         _rt_len(),
         _rt_index(),
-        _rt_dget(),
+        _rt_dfind(),
         _rt_setindex(),
         _rt_dput(),
         _rt_append(),

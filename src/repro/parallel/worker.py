@@ -33,6 +33,7 @@ import pickle
 import queue as _queue
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Tuple
 
 from repro.lowlevel.executor import LowLevelEngine
@@ -211,8 +212,9 @@ def _pool_worker_main(worker_index: int, ctrl_q, task_q, result_q) -> None:
     """Persistent worker loop: control messages first, then stolen chunks.
 
     Control messages (configure/stop) are only ever sent between rounds,
-    so checking the private control queue before each blocking task-queue
-    poll is enough — no cross-queue ordering is assumed anywhere.
+    so checking the private control queue before each task is enough —
+    no cross-queue ordering is assumed anywhere.  The worker sleeps until
+    either queue has a message, so a configure is served at once.
     Exceptions during a chunk are reported as ``("error", ...)`` messages
     (the pool converts them to :class:`WorkerCrashError`); the loop keeps
     running so one bad chunk cannot also hang the round after it.
@@ -235,7 +237,11 @@ def _pool_worker_main(worker_index: int, ctrl_q, task_q, result_q) -> None:
                         ("error", spec["run_id"], worker_index, traceback.format_exc())
                     )
             continue
+        if ctrl_q._reader in wait([ctrl_q._reader, task_q._reader]):
+            continue
         try:
+            # Another worker may steal the chunk that woke this one; the
+            # timeout bounds how long that leaves a control message unread.
             task = task_q.get(timeout=0.05)
         except _queue.Empty:
             continue

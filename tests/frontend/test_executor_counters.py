@@ -33,16 +33,16 @@ _PACKS = {
 #: sum of ll counts, sum of hl counts, sha256 prefix of the sorted pairs).
 GOLDEN = {
     ("turnstile", "cpcpcpc"): (
-        255, 238_705, 1_072, 254, 1_624_994, 12_929, "45d8b77dee3eba9e"
+        255, 135_701, 1_411, 254, 1_037_445, 12_929, "8a5e28dbe75b6226"
     ),
-    ("turnstile", "cpcp"): (31, 28_731, 167, 30, 113_872, 993, "a5e8f147292dbd71"),
-    ("turnstile", "cpc"): (15, 13_725, 57, 14, 42_478, 393, "ade28727931e8920"),
-    ("rle", "ab"): (2, 3_974, 26, 5, 4_524, 72, "baa2591ef7bd888f"),
-    ("rle", "abc"): (4, 9_802, 72, 14, 12_408, 176, "b3f36c65956e3ffd"),
-    ("rle", "abcd"): (8, 23_020, 186, 34, 31_616, 416, "676157d934792edc"),
-    ("parseint", "12"): (8, 2_028, 32, 7, 6_724, 118, "98e8d995749e944d"),
-    ("parseint", "123"): (12, 2_894, 50, 11, 12_588, 202, "8f283f893abb1d7a"),
-    ("parseint", "1234"): (16, 3_760, 68, 15, 20_140, 302, "57a8bc4e3dbe9c2d"),
+    ("turnstile", "cpcp"): (31, 16_568, 121, 30, 76_394, 993, "1abd52762489b735"),
+    ("turnstile", "cpc"): (15, 8_053, 57, 14, 29_445, 393, "7828cf54d59bbf77"),
+    ("rle", "ab"): (2, 3_607, 26, 5, 4_104, 72, "3b09892eca24ae96"),
+    ("rle", "abc"): (4, 8_868, 72, 14, 11_214, 176, "2ab63c910bbd9591"),
+    ("rle", "abcd"): (8, 20_771, 193, 34, 28_496, 416, "e44a2c1115a771dc"),
+    ("parseint", "12"): (8, 1_826, 32, 7, 6_057, 118, "13358ae2fb46c873"),
+    ("parseint", "123"): (12, 2_603, 50, 11, 11_297, 202, "e2617831d446f572"),
+    ("parseint", "1234"): (16, 3_380, 68, 15, 18_029, 302, "f9a6347e65ea6c03"),
 }
 
 

@@ -4,6 +4,8 @@ One linear pass per function: TAC temps map 1:1 onto LVM registers, every
 CFG block leader gets an LVM label, and each TAC instruction expands to a
 handful of LIR instructions (operators become ``CALL``s into the
 :mod:`.runtime` library, constants become static-pool box addresses).
+A compare that only the next ``CJMP`` reads is fused with it: one call
+of a word-valued runtime compare and a ``BR`` on the word.
 The module body compiles to the ``main`` entry (with a ``start_symbolic``
 prologue); user functions get a ``py_`` prefix so they can never collide
 with runtime routines.
@@ -11,7 +13,7 @@ with runtime routines.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from repro.frontend import tac
 from repro.frontend.cfg import Cfg
@@ -35,6 +37,13 @@ _BIN_RT = {
     "floordiv": "rt_div", "mod": "rt_mod",
     "eq": "rt_eq", "ne": "rt_ne",
     "lt": "rt_lt", "le": "rt_le", "gt": "rt_gt", "ge": "rt_ge",
+}
+
+#: comparison -> runtime function returning its result as a raw word, for
+#: a compare fused with the branch that reads it (``ne`` swaps targets).
+_CMP_WORD_RT = {
+    "eq": "rt_eqw", "ne": "rt_eqw",
+    "lt": "rt_ltw", "le": "rt_lew", "gt": "rt_gtw", "ge": "rt_gew",
 }
 
 _UN_RT = {"neg": "rt_neg", "not": "rt_not"}
@@ -98,6 +107,43 @@ class StaticPool:
         program.set_static(HP_ADDR, [self._next])
 
 
+#: ops that read temp ``a``, and those that read ``a`` and ``b``; every
+#: other op reads only its ``args``.
+_READS_A = frozenset((tac.MOVE, tac.UN, tac.GSTORE, tac.CJMP, tac.RET, tac.CHK))
+_READS_AB = frozenset((tac.BIN, tac.INDEX))
+
+
+def _fused_compares(fn: TacFunction, cfg: Cfg) -> Set[int]:
+    """Indices of compares to emit together with the ``CJMP`` after them.
+
+    A compare fuses when the next instruction, in the same block, branches
+    on its result and nothing else reads that expression temp.
+    """
+    instrs = fn.instrs
+    leaders = {block.start for block in cfg.blocks}
+    reads: List[int] = []
+    candidates = []
+    prev = None
+    for index, instr in enumerate(instrs):
+        op = instr.op
+        if op in _READS_AB:
+            reads.append(instr.a)
+            reads.append(instr.b)
+        elif op in _READS_A:
+            reads.append(instr.a)
+            if (op == tac.CJMP and index not in leaders and prev.op == tac.BIN
+                    and prev.dst == instr.a and prev.extra in _CMP_WORD_RT):
+                candidates.append(index - 1)
+        elif instr.args:
+            reads.extend(instr.args)
+        prev = instr
+    named = fn.local_slots.values()
+    return {
+        index for index in candidates
+        if instrs[index].dst not in named and reads.count(instrs[index].dst) == 1
+    }
+
+
 class _FunctionEmitter:
     def __init__(self, fn: TacFunction, cfg: Cfg, pool: StaticPool,
                  lvm_name: str, is_main: bool):
@@ -113,16 +159,25 @@ class _FunctionEmitter:
         self.block_labels = {
             block.start: self.builder.new_label() for block in cfg.blocks
         }
+        self.fused = _fused_compares(fn, cfg)
 
     def emit(self):
         b = self.builder
         if self.is_main:
             b.emit(Opcode.HYPER, dst=b.new_reg(), extra=api.START_SYMBOLIC,
                    args=[])
+        instrs = self.fn.instrs
+        fused = self.fused
         for block in self.cfg.blocks:
             b.place_label(self.block_labels[block.start])
-            for index in range(block.start, block.end):
-                self._instr(self.fn.instrs[index])
+            index = block.start
+            while index < block.end:
+                if index in fused:
+                    self._compare_and_branch(instrs[index], instrs[index + 1])
+                    index += 2
+                else:
+                    self._instr(instrs[index])
+                    index += 1
         return b.finish()
 
     # -- helpers --------------------------------------------------------------
@@ -196,6 +251,21 @@ class _FunctionEmitter:
             self._scratch_call("rt_raise", [b.const(EXC_IDS[instr.extra])])
         else:  # pragma: no cover - lowering emits no other ops
             raise AssertionError(f"unhandled TAC op {op!r}")
+
+    def _compare_and_branch(self, cmp: tac.TacInstr, jump: tac.TacInstr) -> None:
+        """``BIN t = a <cmp> b; CJMP t`` as one word-valued call and a ``BR``.
+
+        The compare's temp, which nothing else reads, holds the raw word,
+        so the branch needs no box and no ``rt_truth``.
+        """
+        b = self.builder
+        b.set_line(cmp.line)
+        self._call(cmp.dst, _CMP_WORD_RT[cmp.extra], [cmp.a, cmp.b])
+        on_true, on_false = self._label_of(jump.b), self._label_of(jump.extra)
+        if cmp.extra == "ne":
+            on_true, on_false = on_false, on_true
+        b.set_line(jump.line)
+        b.emit(Opcode.BR, a=cmp.dst, b=on_true, extra=on_false)
 
     def _list(self, instr: tac.TacInstr) -> None:
         b = self.builder

@@ -2,14 +2,17 @@
 
 Compiled PyLite never manipulates raw words: every TAC value is the
 address of a tagged box, and every operator lowers to a ``CALL`` into one
-of these functions.  The library plays the part of the paper's
-interpreter runtime — except here it is ~30 small LIR routines instead
-of a whole interpreter, because the frontend already compiled the
-control flow.  The engine pays for every instruction the routines run,
-so they are tuned the way Chef tunes its interpreter build: allocation
-and int boxing are inline (:meth:`Asm.alloc`, :meth:`Asm.box`), counted
-loops test at the bottom, and dict lookups compare key identity before
-value equality (:func:`_rt_dfind`).
+of these functions.  The one raw word the emitted code sees is a
+comparison a branch reads directly: a compare fused with its branch
+calls a word-valued form (``rt_eqw``, ``rt_ltw``, ...) and branches on
+the result, with no box and no ``rt_truth``.  The library plays the part
+of the paper's interpreter runtime — except here it is ~40 small LIR
+routines instead of a whole interpreter, because the frontend already
+compiled the control flow.  The engine pays for every instruction the
+routines run, so they are tuned the way Chef tunes its interpreter
+build: allocation and int boxing are inline (:meth:`Asm.alloc`,
+:meth:`Asm.box`), counted loops test at the bottom, and dict lookups
+compare key identity before value equality (:func:`_rt_dfind`).
 
 Memory layout (word-addressed):
 
@@ -289,6 +292,24 @@ def _rt_int_binop(name: str, op: str) -> Function:
     return f.finish()
 
 
+def _rt_int_cmpw(name: str, op: str) -> Function:
+    """``a <op> b`` on two ints as a *word*, for a fused compare-and-branch.
+
+    The tags are checked inline, ``a`` first, so a non-int raises
+    ``TypeError`` exactly where :func:`_rt_intval` would.
+    """
+    f = Asm(name, 2)
+    int_a, int_b, bad = f.label(), f.label(), f.label()
+    f.br_tag(f.load(0), TAG_INT, int_a, bad)
+    f.place(int_a)
+    f.br_tag(f.load(1), TAG_INT, int_b, bad)
+    f.place(int_b)
+    f.ret(f.bin(op, f.load_at(0, 1), f.load_at(1, 1)))
+    f.place(bad)
+    f.raise_(_TYPE_ERROR)
+    return f.finish()
+
+
 def _rt_int_divlike(name: str, op: str) -> Function:
     f = Asm(name, 2)
     wa = f.call("rt_intval", [0])
@@ -474,6 +495,22 @@ def _normalize_index(f: Asm, idx_box: int, length_reg: int) -> int:
     return norm
 
 
+def _require_hashable(f: Asm, key: int) -> None:
+    """Raise ``TypeError`` unless ``key`` is an int, a str or None.
+
+    Only dict paths that miss call it: :func:`_rt_dput` never stores a
+    list or dict key, so such a key is never found.
+    """
+    tag = f.load(key)
+    ok, not_scalar, bad = f.label(), f.label(), f.label()
+    f.br(f.bin("lt", tag, f.imm(TAG_LIST)), ok, not_scalar)  # int or str
+    f.place(not_scalar)
+    f.br_tag(tag, TAG_NONE, ok, bad)
+    f.place(bad)
+    f.raise_(_TYPE_ERROR)
+    f.place(ok)
+
+
 def _rt_index() -> Function:
     f = Asm("rt_index", 2)
     tag = f.load(0)
@@ -505,6 +542,7 @@ def _rt_index() -> Function:
     f.place(found)
     f.ret(f.load_at(slot, 1))
     f.place(missing)
+    _require_hashable(f, 1)
     f.raise_(_KEY_ERROR)
     f.place(bad)
     f.raise_(_TYPE_ERROR)
@@ -573,6 +611,7 @@ def _rt_dput() -> Function:
     f.store_at(slot, 1, 2)
     f.reti(0)
     f.place(absent)
+    _require_hashable(f, 1)
     n = f.load_at(0, 1)
     cap = f.load_at(0, 2)
     grow, append = f.label(), f.label()
@@ -636,6 +675,7 @@ def _rt_contains() -> Function:
     is_dict, n2 = f.label(), f.label()
     f.br_tag(tag, TAG_DICT, is_dict, n2)
     f.place(is_dict)
+    _require_hashable(f, 1)
     dn = f.load_at(0, 1)
     entries = f.load_at(0, 3)
     dacc = f.reg()
@@ -836,6 +876,10 @@ def _build() -> Tuple[Function, ...]:
         _rt_int_binop("rt_le", "le"),
         _rt_int_binop("rt_gt", "gt"),
         _rt_int_binop("rt_ge", "ge"),
+        _rt_int_cmpw("rt_ltw", "lt"),
+        _rt_int_cmpw("rt_lew", "le"),
+        _rt_int_cmpw("rt_gtw", "gt"),
+        _rt_int_cmpw("rt_gew", "ge"),
         _rt_int_divlike("rt_div", "div"),
         _rt_int_divlike("rt_mod", "mod"),
         _rt_add(),

@@ -311,6 +311,9 @@ def evaluate(v: Value, env: Dict[str, int], memo: Optional[dict] = None) -> int:
     """Evaluate a value (int or Expr) under a complete assignment."""
     if not isinstance(v, Expr):
         return v
+    if type(v) is BinExpr and type(v.a) is Sym and type(v.b) is int:
+        # The commonest path-condition atom: one variable against a constant.
+        return BINOP_FUNCS[v.op](v.a.evaluate(env), v.b)
     return _eval(v, env, {} if memo is None else memo)
 
 

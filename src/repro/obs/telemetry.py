@@ -11,8 +11,8 @@ benchmarks read), but no spans are recorded.
 Tracing is opt-in because spans cost two clock reads and an event
 append each.  Disabled-mode overhead is a single branch: hot code
 guards on ``telemetry.enabled`` (or calls :meth:`Telemetry.span`,
-which returns the shared no-op span); the benchmark suite holds this
-to ≤5% on the dispatch microbenchmark.
+which returns the shared no-op span); the benchmark suite checks that
+a disabled run calls no tracer function.
 
 Span events use wall-clock seconds from ``time.perf_counter`` —
 on Linux a system-wide monotonic clock, so spans recorded in forked

@@ -6,14 +6,16 @@ protocol over :class:`~repro.solver.constraints.ConstraintSet` inputs.
 Path-condition atoms are integer expressions over finite-domain input
 variables; the solver decides satisfiability by:
 
-1. reusing the constraint set's known-model chain — a query whose atoms
+1. normalising each atom to literal form (conditions compared with 0
+   unwrapped, truthy conjunctions split) and partitioning the atoms into
+   independent connected components — once per constraint-set node,
+   derived from its parent's (:class:`~repro.solver.constraints.Partition`),
+   so a query pays only for the nodes no earlier query reached,
+2. reusing the constraint set's known-model chain — a query whose atoms
    extend an already-satisfied ancestor set first re-checks only the new
    atoms against the ancestor's model (the incremental fast path),
-2. normalising atoms to literal form (conditions compared with 0
-   unwrapped, truthy conjunctions split),
-3. splitting the query into independent connected components and
-   adopting the ancestor model wholesale for components no new atom
-   touches (independence slicing),
+3. solving only the components a new atom lies in, and adopting the
+   ancestor model for every other variable (independence slicing),
 4. counterexample reuse: trying the hint and the solver's last eight
    models on each remaining component before searching it,
 5. alternating single-variable domain tightening with boolean unit
@@ -37,7 +39,6 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SolverDeadline, SolverTimeout
@@ -50,14 +51,12 @@ from repro.lowlevel.expr import (
     COMPARISONS,
     Expr,
     Sym,
-    UnExpr,
     evaluate,
-    is_condition,
     mk_binop,
     negate_condition,
 )
 from repro.solver.backend import CheckResult, SAT, SolverBackend, UNKNOWN, UNSAT
-from repro.solver.constraints import ConstraintSet
+from repro.solver.constraints import Component, ConstraintSet
 from repro.solver.interval import Interval, interval_eval
 
 _log = logging.getLogger("repro.solver")
@@ -121,122 +120,6 @@ class SolverStats:
 for _field in _STAT_FIELDS:
     setattr(SolverStats, _field, counter_property(_field))
 del _field
-
-
-@dataclass
-class _Component:
-    names: List[str] = field(default_factory=list)
-    constraints: List[Expr] = field(default_factory=list)
-
-
-def _is_boolean_valued(expr, memo: dict) -> bool:
-    """True when ``expr`` can only evaluate to 0 or 1."""
-    if not isinstance(expr, Expr):
-        return expr in (0, 1)
-    key = id(expr)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(expr, Sym):
-        result = expr.lo >= 0 and expr.hi <= 1
-    elif isinstance(expr, UnExpr):
-        result = expr.op == "lnot"
-    else:
-        assert isinstance(expr, BinExpr)
-        if expr.op in COMPARISONS or expr.op in ("land", "lor"):
-            result = True
-        elif expr.op in ("and", "or", "xor"):
-            memo[key] = False  # guard against (impossible) cycles
-            result = _is_boolean_valued(expr.a, memo) and _is_boolean_valued(expr.b, memo)
-        else:
-            result = False
-    memo[key] = result
-    return result
-
-
-def _normalise(constraints: Sequence) -> Optional[List[Expr]]:
-    """Return comparison-shaped atoms, or None if trivially UNSAT.
-
-    Conjunctions are decomposed: branch-free guest code (fast-path-
-    eliminated string comparison) produces conditions like
-    ``(c0==97)&(c1==98)&... == 1``; splitting them into per-character
-    atoms lets interval propagation solve them without search.  A
-    condition compared with 0 is unwrapped to literal form (``C != 0``
-    is ``C``, ``C == 0`` is ``not C``), so a negated comparison becomes
-    a bound and one condition always appears as one interned atom.
-    """
-    atoms: List[Expr] = []
-    seen = set()
-    bool_memo: dict = {}
-    work = list(constraints)
-    while work:
-        c = work.pop()
-        if not isinstance(c, Expr):
-            if c == 0:
-                return None
-            continue
-        if isinstance(c, UnExpr) and c.op == "lnot":
-            c = mk_binop("eq", c.a, 0)
-        elif not is_condition(c):
-            c = mk_binop("ne", c, 0)
-        if not isinstance(c, Expr):
-            if c == 0:
-                return None
-            continue
-        # Decompose truthy conjunctions and falsy disjunctions.  Operands
-        # are pushed back raw (or properly negated); the loop's own
-        # normalisation turns them into comparison atoms.
-        if isinstance(c, BinExpr):
-            if c.op == "land":
-                work.append(c.a)
-                work.append(c.b)
-                continue
-            inner = c.a
-            if c.op == "ne" and c.b == 0 and is_condition(inner):
-                work.append(inner)  # C != 0 is C itself
-                continue
-            if (
-                c.op == "ne"
-                and c.b == 0
-                and isinstance(inner, BinExpr)
-                and inner.op == "and"
-                and _is_boolean_valued(inner.a, bool_memo)
-                and _is_boolean_valued(inner.b, bool_memo)
-            ):
-                work.append(inner.a)
-                work.append(inner.b)
-                continue
-            if c.op == "eq" and c.b == 0 and isinstance(inner, Expr):
-                if is_condition(inner) and inner.op not in ("land", "lor"):
-                    work.append(negate_condition(inner))  # C == 0 is not C
-                    continue
-                if isinstance(inner, BinExpr) and (
-                    inner.op == "lor"
-                    or (
-                        inner.op == "or"
-                        and _is_boolean_valued(inner.a, bool_memo)
-                        and _is_boolean_valued(inner.b, bool_memo)
-                    )
-                ):
-                    work.append(negate_condition(inner.a))
-                    work.append(negate_condition(inner.b))
-                    continue
-            # eq(X, 1) for boolean X is the same as asserting X.
-            if (
-                c.op == "eq"
-                and not isinstance(c.b, Expr)
-                and c.b == 1
-                and isinstance(c.a, BinExpr)
-                and c.a.op in ("and", "land")
-                and _is_boolean_valued(c.a, bool_memo)
-            ):
-                work.append(c.a)
-                continue
-        if id(c) in seen:
-            continue
-        seen.add(id(c))
-        atoms.append(c)
-    return atoms
 
 
 def _affine_of_single_var(expr) -> Optional[Tuple[str, int, int]]:
@@ -579,7 +462,7 @@ class CspSolver(SolverBackend):
         base = self.solve(cs, hint=hint)
         if base is None:
             return None
-        domains = self._initial_domains(_normalise(cs.atoms()) or [])
+        domains = dict(cs.partition().domains)
         for var in expr.free_vars():
             domains.setdefault(var.name, (var.lo, var.hi))
         bound = interval_eval(expr, {n: d for n, d in domains.items()})
@@ -627,6 +510,7 @@ class CspSolver(SolverBackend):
         if self._faults is not None:
             self._faults.on_solver_query()  # may stall or raise SolverTimeout
             self._check_deadline()
+        ancestor: Optional[ConstraintSet] = None
         if self.incremental:
             if cs.known_unsat:
                 stats.unsat += 1
@@ -636,76 +520,61 @@ class CspSolver(SolverBackend):
             if known is not None:
                 stats.sat += 1
                 stats.incremental_hits += 1
-                return self._complete_over_domains(known, cs.domains())
-            ancestor_model, prefix_raw, suffix_raw = cs.split_at_model()
-        else:
-            ancestor_model, prefix_raw, suffix_raw = None, [], cs.atoms()
-        prefix = _normalise(prefix_raw)
-        suffix = _normalise(suffix_raw)
-        if prefix is None or suffix is None:
+                return self._complete_over_domains(known, cs.partition().domains)
+            ancestor = cs.model_ancestor()
+        part = cs.partition()
+        if part.unsat:
             stats.unsat += 1
             if self.incremental:
                 cs.note_unsat()
             return None
-        prefix_ids = {id(a) for a in prefix}
-        suffix = [a for a in suffix if id(a) not in prefix_ids]
-        atoms = prefix + suffix
-        if not atoms:
+        if not part.n_atoms:
             stats.sat += 1
             return dict(hint) if hint else {}
-        domains = self._initial_domains(atoms)
+        domains = part.domains
 
-        # Incremental fast path: the ancestor model satisfies every prefix
-        # atom by contract; re-check just the appended atoms against it
-        # before any component work or search.
-        if ancestor_model is not None and suffix:
-            env = self._complete_over_domains(ancestor_model, domains)
-            memo: dict = {}
-            if all(_holds(a, env, memo) for a in suffix):
-                stats.sat += 1
-                stats.incremental_hits += 1
-                cs.note_model(env)
-                self._recent.append(dict(env))
-                return dict(env)
+        ancestor_model: Optional[Dict[str, int]] = None
+        if ancestor is None:
+            pending = part.components()
+        else:
+            ancestor_model = ancestor.model
+            new_atoms = cs.new_atoms_since(ancestor)
+            # Incremental fast path: the ancestor model satisfies every
+            # one of its atoms by contract; re-check just the appended
+            # ones against it before any component work or search.
+            if new_atoms:
+                env = self._complete_over_domains(ancestor_model, domains)
+                memo: dict = {}
+                if all(_holds(a, env, memo) for a in new_atoms):
+                    stats.sat += 1
+                    stats.incremental_hits += 1
+                    cs.note_model(env)
+                    self._recent.append(dict(env))
+                    return dict(env)
+            pending = part.touched(new_atoms)
 
-        components = self._split_components(atoms, domains)
-        suffix_ids = {id(a) for a in suffix}
         merged_hint: Dict[str, int] = dict(ancestor_model) if ancestor_model else {}
         if hint:
             merged_hint.update(hint)
         step_budget = budget if budget is not None else self.budget
 
+        # Independence slicing: a component no new atom touches is made
+        # only of the ancestor's atoms, all satisfied by its model; adopt
+        # its values for every such variable without solving anything.
+        # Counted before any search, so the slicing benefit is realised
+        # even when a touched component later proves the query UNSAT.
         solution: Dict[str, int] = {}
+        sliced = ancestor_model is not None and len(pending) < part.n_components
+        if sliced:
+            solution = self._complete_over_domains(ancestor_model, domains)
+            stats.atoms_sliced += part.n_atoms - sum(len(atoms) for _, atoms in pending)
         steps_used = 0
-        sliced = False
         unsat = False
-        # First pass — independence slicing: a component no new atom
-        # touches is made only of prefix atoms, all satisfied by the
-        # ancestor model; adopt its values without solving anything.
-        # Runs before any search so the slicing benefit is realised even
-        # when a touched component later proves the query UNSAT.
-        pending: List[_Component] = []
-        for comp in components:
-            if (
-                ancestor_model is not None
-                and comp.constraints
-                and not any(id(a) in suffix_ids for a in comp.constraints)
-            ):
-                adopted = self._adopt_model(
-                    ancestor_model, {n: domains[n] for n in comp.names}
-                )
-                if adopted is not None:
-                    solution.update(adopted)
-                    stats.atoms_sliced += len(comp.constraints)
-                    sliced = True
-                    continue
-            pending.append(comp)
         for comp in pending:
-            comp_domains = {n: domains[n] for n in comp.names}
+            names, atoms = comp
+            comp_domains = {n: domains[n] for n in names}
             # Counterexample reuse: try recent solutions before searching.
-            result = self._try_recent_solutions(
-                list(comp.constraints), comp_domains, merged_hint
-            )
+            result = self._try_recent_solutions(atoms, comp_domains, merged_hint)
             if result is not None:
                 stats.cex_reuses += 1
             else:
@@ -759,36 +628,15 @@ class CspSolver(SolverBackend):
         return env
 
     @staticmethod
-    def _adopt_model(
-        model: Dict[str, int], comp_domains: Dict[str, Tuple[int, int]]
-    ) -> Optional[Dict[str, int]]:
-        """Component-restricted view of ``model`` (lo for missing vars)."""
-        adopted: Dict[str, int] = {}
-        for name, (lo, hi) in comp_domains.items():
-            v = model.get(name, lo)
-            if not lo <= v <= hi:
-                return None
-            adopted[name] = v
-        return adopted
-
-    @staticmethod
     def _complete(solution: Dict[str, int], expr: Expr) -> Dict[str, int]:
         env = dict(solution)
         for var in expr.free_vars():
             env.setdefault(var.name, var.lo)
         return env
 
-    @staticmethod
-    def _initial_domains(atoms: Sequence[Expr]) -> Dict[str, Tuple[int, int]]:
-        domains: Dict[str, Tuple[int, int]] = {}
-        for atom in atoms:
-            for var in atom.free_vars():
-                domains.setdefault(var.name, (var.lo, var.hi))
-        return domains
-
     def _try_recent_solutions(
         self,
-        atoms: List[Expr],
+        atoms: Sequence[Expr],
         domains: Dict[str, Tuple[int, int]],
         hint: Optional[Dict[str, int]],
     ) -> Optional[Dict[str, int]]:
@@ -811,41 +659,9 @@ class CspSolver(SolverBackend):
                 return env
         return None
 
-    @staticmethod
-    def _split_components(atoms: List[Expr], domains) -> List[_Component]:
-        parent: Dict[str, str] = {n: n for n in domains}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        atom_vars: List[List[str]] = []
-        for atom in atoms:
-            names = sorted(v.name for v in atom.free_vars())
-            atom_vars.append(names)
-            for other in names[1:]:
-                ra, rb = find(names[0]), find(other)
-                if ra != rb:
-                    parent[rb] = ra
-
-        groups: Dict[str, _Component] = {}
-        for name in domains:
-            root = find(name)
-            groups.setdefault(root, _Component()).names.append(name)
-        for atom, names in zip(atoms, atom_vars):
-            if not names:
-                continue
-            groups[find(names[0])].constraints.append(atom)
-        ordered = sorted(groups.values(), key=lambda c: (len(c.names), c.names))
-        for comp in ordered:
-            comp.names.sort()
-        return ordered
-
     def _search_component(
         self,
-        comp: _Component,
+        comp: Component,
         domains: Dict[str, Tuple[int, int]],
         hint: Dict[str, int],
         budget: int,
@@ -855,8 +671,9 @@ class CspSolver(SolverBackend):
 
         # Before search: bounds and boolean unit propagation feed each
         # other; implied literals join the component (bounded rounds).
+        names, atoms = comp
         work = dict(domains)
-        atoms = list(comp.constraints)
+        atoms = list(atoms)
         seen = {id(a) for a in atoms}
         for _ in range(3):
             if not _tighten(atoms, work):
@@ -870,7 +687,7 @@ class CspSolver(SolverBackend):
             seen.update(id(a) for a in fresh)
             atoms.extend(fresh)
 
-        order = sorted(comp.names, key=lambda n: (work[n][1] - work[n][0], n))
+        order = sorted(names, key=lambda n: (work[n][1] - work[n][0], n))
         var_atoms: Dict[str, List[Expr]] = {n: [] for n in order}
         completes_at: Dict[str, List[Expr]] = {n: [] for n in order}
         checks: Dict[str, list] = {n: [] for n in order}

@@ -33,16 +33,16 @@ _PACKS = {
 #: sum of ll counts, sum of hl counts, sha256 prefix of the sorted pairs).
 GOLDEN = {
     ("turnstile", "cpcpcpc"): (
-        255, 135_701, 1_411, 254, 1_037_445, 12_929, "8a5e28dbe75b6226"
+        255, 114_225, 763, 254, 880_640, 12_929, "a408f61f4d3d5bcf"
     ),
-    ("turnstile", "cpcp"): (31, 16_568, 121, 30, 76_394, 993, "1abd52762489b735"),
-    ("turnstile", "cpc"): (15, 8_053, 57, 14, 29_445, 393, "7828cf54d59bbf77"),
-    ("rle", "ab"): (2, 3_607, 26, 5, 4_104, 72, "3b09892eca24ae96"),
-    ("rle", "abc"): (4, 8_868, 72, 14, 11_214, 176, "2ab63c910bbd9591"),
-    ("rle", "abcd"): (8, 20_771, 193, 34, 28_496, 416, "e44a2c1115a771dc"),
-    ("parseint", "12"): (8, 1_826, 32, 7, 6_057, 118, "13358ae2fb46c873"),
-    ("parseint", "123"): (12, 2_603, 50, 11, 11_297, 202, "e2617831d446f572"),
-    ("parseint", "1234"): (16, 3_380, 68, 15, 18_029, 302, "f9a6347e65ea6c03"),
+    ("turnstile", "cpcp"): (31, 14_020, 91, 30, 65_893, 993, "16c4fd2f53b4f213"),
+    ("turnstile", "cpc"): (15, 6_857, 43, 14, 25_664, 393, "908be93540cf6cae"),
+    ("rle", "ab"): (2, 3_161, 25, 5, 3_633, 72, "9de35ff881ea1bd6"),
+    ("rle", "abc"): (4, 7_776, 69, 14, 10_022, 176, "202c80ad5d053bc9"),
+    ("rle", "abcd"): (8, 18_187, 173, 34, 25_612, 416, "027620599798d958"),
+    ("parseint", "12"): (8, 1_482, 25, 7, 4_820, 118, "1d36f8eaf7ebc8a9"),
+    ("parseint", "123"): (12, 2_109, 39, 11, 8_980, 202, "38553d72da63884d"),
+    ("parseint", "1234"): (16, 2_736, 53, 15, 14_332, 302, "2949eb8475a79fda"),
 }
 
 

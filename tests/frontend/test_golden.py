@@ -10,6 +10,7 @@ three layers up.
 import textwrap
 
 from repro.frontend import compile_pylite
+from repro.frontend.tac import EXC_IDS
 from repro.interpreters.pylite.engine import PyLiteEngine
 
 
@@ -206,6 +207,32 @@ class TestAssert:
             engine.exception_name(t) for t in result.suite.exceptions()
         )
         assert names == ["AssertionError"]
+
+
+UNHASHABLE_KEY_SOURCE = (
+    "x = sym_int(1, 0, 3)\n"
+    "d = {}\n"
+    "d[[x]] = 2\n"
+    "print(d[[x]])\n"
+)
+
+
+class TestUnhashableKey:
+    """A list key raises TypeError, as CPython's unhashable check does."""
+
+    def test_list_key_store_raises(self):
+        result = _explore(UNHASHABLE_KEY_SOURCE)
+        assert len(result.suite.cases) == 1
+        engine = PyLiteEngine(UNHASHABLE_KEY_SOURCE)
+        (case,) = result.suite.cases
+        assert engine.exception_name(case.exception_type) == "TypeError"
+        assert case.output == []
+
+    def test_list_key_lookup_and_membership_raise(self):
+        for probe in ("print(d[[x]])", "print([x] in d)", "d[{}] = x"):
+            source = f"x = sym_int(1, 0, 3)\nd = {{'a': 1}}\n{probe}\n"
+            (case,) = _explore(source).suite.cases
+            assert case.exception_type == EXC_IDS["TypeError"], probe
 
 
 class TestCompiledArtifact:

@@ -1,6 +1,7 @@
 """ConstraintSet: structural sharing, slicing indexes, model fast path."""
 
-from repro.lowlevel.expr import Sym, mk_binop
+from repro.lowlevel.expr import Sym, evaluate, mk_binop
+from repro.solver import constraints
 from repro.solver.constraints import ConstraintSet
 from repro.solver.csp import CspSolver
 
@@ -64,14 +65,14 @@ class TestIndexes:
     def test_domains(self):
         (x,) = _vars("ccs_e", 1, 3, 7)
         cs = ConstraintSet.from_atoms([mk_binop("gt", x, 4)])
-        assert cs.domains() == {x.name: (3, 7)}
+        assert cs.partition().domains == {x.name: (3, 7)}
 
     def test_components_split_independent_vars(self):
         x, y, z = _vars("ccs_f", 3)
         cs = ConstraintSet.from_atoms(
             [mk_binop("gt", x, 1), mk_binop("lt", y, 9), mk_binop("eq", z, 4)]
         )
-        comps = cs.components()
+        comps = cs.partition().components()
         assert len(comps) == 3
         assert sorted(len(atoms) for _, atoms in comps) == [1, 1, 1]
 
@@ -79,7 +80,7 @@ class TestIndexes:
         x, y, z = _vars("ccs_g", 3)
         link = mk_binop("lt", mk_binop("add", x, y), 100)
         cs = ConstraintSet.from_atoms([link, mk_binop("eq", z, 4)])
-        comps = cs.components()
+        comps = cs.partition().components()
         assert len(comps) == 2
         names = sorted(sorted(n) for n, _ in comps)
         assert names == [[x.name, y.name], [z.name]]
@@ -87,7 +88,12 @@ class TestIndexes:
     def test_components_memoized(self):
         x, y = _vars("ccs_h", 2)
         cs = ConstraintSet.from_atoms([mk_binop("gt", x, 1), mk_binop("lt", y, 9)])
-        assert cs.components() is cs.components()
+        assert cs.partition() is cs.partition()
+        # A child derives its partition from its parent's, sharing the
+        # components its atom does not touch.
+        child = cs.append(mk_binop("lt", x, 50))
+        assert child.partition().comp_of[y.name] is cs.partition().comp_of[y.name]
+        assert child.partition().new == (mk_binop("lt", x, 50),)
 
 
 class TestModels:
@@ -157,3 +163,37 @@ class TestModels:
         hits_before = solver.stats.incremental_hits
         assert solver.solve(cs) is None
         assert solver.stats.incremental_hits == hits_before + 1
+
+
+class TestIncrementalQueries:
+    def test_each_query_normalises_only_its_new_atom(self, monkeypatch):
+        """A 200-atom chain queried at every length normalises each atom once."""
+        xs = _vars("ccs_o", 8)
+        calls = []
+        normalise = constraints._normalise
+
+        def counting(atoms):
+            calls.append(len(atoms))
+            return normalise(atoms)
+
+        monkeypatch.setattr(constraints, "_normalise", counting)
+        solver = CspSolver()
+        node = ConstraintSet.empty()
+        atoms = []
+        for i in range(200):
+            # Single-byte atoms x_k != 0, 1, 2, ...: each excludes the
+            # value x_k last took, so most queries slice the seven other
+            # bytes and re-solve only x_k.
+            atoms.append(mk_binop("ne", xs[i % len(xs)], i // len(xs)))
+            node = node.append(atoms[-1])
+            before = len(calls)
+            model = solver.solve(node)
+            assert calls[before:] == [1], i
+            assert all(evaluate(atom, model) for atom in atoms)
+        stats = solver.stats
+        assert stats.queries == 200 and stats.sat == 200
+        assert stats.atoms_sliced > 0 and stats.incremental_hits > 0
+        # A node already queried is answered from its memo and its model.
+        before = len(calls)
+        assert solver.solve(node) is not None
+        assert len(calls) == before

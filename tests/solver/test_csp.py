@@ -9,7 +9,8 @@ from repro.errors import SolverTimeout
 from repro.faults import FaultInjector, FaultPlan
 from repro.lowlevel.expr import Sym, evaluate, mk_binop, mk_unop
 from repro.solver.backend import UNKNOWN
-from repro.solver.csp import CspSolver, _normalise
+from repro.solver.constraints import _normalise
+from repro.solver.csp import CspSolver
 
 
 def _vars(prefix, n, lo=0, hi=255):

@@ -5,12 +5,17 @@
 replaced the 19-arm if-chain with a module-level table of ``operator``
 based functions.  This benchmark keeps a faithful copy of the seed's
 if-chain and times both over the full operator mix; the win is reported
-through :func:`update_bench_json`.  The timing assertion is deliberately loose (the
-table must at minimum not regress) — the hard assertion is semantic
-equivalence over the whole operator space.
+through :func:`update_bench_json`.  Two things are asserted: semantic
+equivalence over the whole operator space, and the dispatch contract,
+counted in executed bytecodes rather than timed.  The table runs the same
+number of bytecodes for every operator, and fewer than the if-chain's
+mean over the mix, which grows with an operator's place in the chain.
+The wall-clock ratio is only reported: on a shared host it read 0.96×
+to 1.85× between runs of identical code.
 """
 
-import os
+import statistics
+import sys
 import time
 
 from repro.bench.perfjson import update_bench_json
@@ -88,6 +93,32 @@ def _time_fn(fn, repeats: int = 5, loops: int = 200) -> float:
     return best
 
 
+def _bytecodes(fn, op) -> int:
+    """Bytecodes executed in ``fn``'s own frame by ``fn(op, 7, 3)``."""
+    code = fn.__code__
+    count = 0
+
+    def local(frame, event, _arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def tracer(frame, _event, _arg):
+        if frame.f_code is not code:
+            return None
+        frame.f_trace_opcodes = True
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn(op, 7, 3)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
 def test_binop_dispatch_table(benchmark, report):
     # Semantic equivalence over the full operator space, including the
     # error paths, is the hard requirement — workers=1 must stay
@@ -108,6 +139,15 @@ def test_binop_dispatch_table(benchmark, report):
         for a in (-9, 0, 1, 255):
             assert _apply_unop(op, a) == _seed_apply_unop(op, a), (op, a)
 
+    # The dispatch contract, counted: one table lookup costs the same for
+    # every operator, and less than walking the chain does on average.
+    table_codes = {op: _bytecodes(_apply_binop, op) for op in sorted(BINOPS)}
+    chain_codes = {op: _bytecodes(_seed_apply_binop, op) for op in sorted(BINOPS)}
+    assert len(set(table_codes.values())) == 1, table_codes
+    table_cost = table_codes["add"]
+    chain_mean = statistics.mean(chain_codes.values())
+    assert table_cost < chain_mean, (table_codes, chain_codes)
+
     def run():
         chain = _time_fn(_seed_apply_binop)
         table = _time_fn(_apply_binop)
@@ -120,11 +160,13 @@ def test_binop_dispatch_table(benchmark, report):
     report(
         "Concrete binop dispatch: seed if-chain vs operator table",
         render_table(
-            ["variant", "best-of-5 (s)", "ns/op"],
+            ["variant", "best-of-5 (s)", "ns/op", "bytecodes/op"],
             [
-                ["seed if-chain", f"{chain:.4f}", f"{1e9 * chain / ops:.1f}"],
-                ["operator table", f"{table:.4f}", f"{1e9 * table / ops:.1f}"],
-                ["speedup", f"{ratio:.2f}x", ""],
+                ["seed if-chain", f"{chain:.4f}", f"{1e9 * chain / ops:.1f}",
+                 f"{chain_mean:.1f} (mean)"],
+                ["operator table", f"{table:.4f}", f"{1e9 * table / ops:.1f}",
+                 str(table_cost)],
+                ["speedup", f"{ratio:.2f}x", "", ""],
             ],
         ),
     )
@@ -135,11 +177,7 @@ def test_binop_dispatch_table(benchmark, report):
             "if_chain_ns_per_op": round(1e9 * chain / ops, 2),
             "table_ns_per_op": round(1e9 * table / ops, 2),
             "speedup": round(ratio, 3),
+            "if_chain_bytecodes_mean": round(chain_mean, 2),
+            "table_bytecodes": table_cost,
         },
     )
-    # Loose floor: the table must not regress dispatch.  Never asserted
-    # on CI runners — relative wall-clock is still wall-clock, and CPU
-    # steal on shared runners can slow either measurement arbitrarily;
-    # the hard assertion above is semantic equivalence.
-    if not os.environ.get("CI"):
-        assert table <= chain * 1.25, (table, chain)

@@ -5,7 +5,10 @@ CFG block leader gets an LVM label, and each TAC instruction expands to a
 handful of LIR instructions (operators become ``CALL``s into the
 :mod:`.runtime` library, constants become static-pool box addresses).
 A compare that only the next ``CJMP`` reads is fused with it: one call
-of a word-valued runtime compare and a ``BR`` on the word.
+of a word-valued runtime compare and a ``BR`` on the word.  A subscript
+whose key is a string literal calls ``rt_dget``/``rt_dset`` with a hint
+cell of its own in the static pool, and a ``GLOAD`` that lowering marked
+bound reads its global cell with no ``NameError`` check.
 The module body compiles to the ``main`` entry (with a ``start_symbolic``
 prologue); user functions get a ``py_`` prefix so they can never collide
 with runtime routines.
@@ -92,6 +95,10 @@ class StaticPool:
             self._strs[text] = addr
         return addr
 
+    def hint_cell(self) -> int:
+        """A fresh word for one literal-key subscript site's hint."""
+        return self._alloc([0])
+
     def global_cell(self, name: str) -> int:
         addr = self.global_cells.get(name)
         if addr is None:
@@ -160,6 +167,8 @@ class _FunctionEmitter:
             block.start: self.builder.new_label() for block in cfg.blocks
         }
         self.fused = _fused_compares(fn, cfg)
+        #: temps that only ever hold a string literal's box.
+        self.str_temps = {i.dst for i in fn.instrs if i.op == tac.STR}
 
     def emit(self):
         b = self.builder
@@ -210,9 +219,17 @@ class _FunctionEmitter:
         elif op == tac.UN:
             self._call(instr.dst, _UN_RT[instr.extra], [instr.a])
         elif op == tac.INDEX:
-            self._call(instr.dst, "rt_index", [instr.a, instr.b])
+            if instr.b in self.str_temps:
+                hint = b.const(self.pool.hint_cell())
+                self._call(instr.dst, "rt_dget", [instr.a, instr.b, hint])
+            else:
+                self._call(instr.dst, "rt_index", [instr.a, instr.b])
         elif op == tac.SETINDEX:
-            self._scratch_call("rt_setindex", list(instr.args))
+            if instr.args[1] in self.str_temps:
+                hint = b.const(self.pool.hint_cell())
+                self._scratch_call("rt_dset", list(instr.args) + [hint])
+            else:
+                self._scratch_call("rt_setindex", list(instr.args))
         elif op == tac.LIST:
             self._list(instr)
         elif op == tac.DICT:
@@ -224,9 +241,10 @@ class _FunctionEmitter:
                        list(instr.args or ()))
         elif op == tac.GLOAD:
             cell = b.const(self.pool.global_cell(instr.extra))
-            value = b.new_reg()
+            value = instr.dst if instr.b else b.new_reg()  # b: bound here
             b.emit(Opcode.LOAD, dst=value, a=cell)
-            self._call(instr.dst, "rt_chkname", [value])
+            if not instr.b:
+                self._call(instr.dst, "rt_chkname", [value])
         elif op == tac.GSTORE:
             cell = b.const(self.pool.global_cell(instr.extra))
             b.emit(Opcode.STORE, a=cell, b=instr.a)

@@ -13,7 +13,9 @@ offending source line, never silently mis-compiling.
 Scoping follows CPython: module-level names are globals; inside a function
 every name assigned anywhere in its body is a local (reads before binding
 raise ``UnboundLocalError`` via CHK), and everything else resolves through
-the global cells (``NameError`` when unbound).  ``for`` loops keep the
+the global cells (``NameError`` when unbound).  The lowering tracks the
+names bound on every path, so a read that only ever follows a binding
+carries no check.  ``for`` loops keep the
 CPython contract that the loop variable is only bound when the body runs —
 the induction counter is a hidden temp, copied into the variable at the
 top of each iteration.
@@ -84,6 +86,11 @@ def _assigned_names(stmts: List[ast.stmt]) -> List[str]:
     return seen
 
 
+def _meet(a: Optional[Set[str]], b: Optional[Set[str]]) -> Optional[Set[str]]:
+    """Names bound where two paths join (None: that path cannot reach)."""
+    return b if a is None else a if b is None else a & b
+
+
 class _Lowerer:
     """Lowers one function body (or the module body) to TAC."""
 
@@ -105,7 +112,9 @@ class _Lowerer:
         self.instrs: List[TacInstr] = []
         self._next_temp = 0
         self.local_slots: Dict[str, int] = {}
-        self._bound_locals: Set[str] = set(params)
+        #: names bound on every path to the current instruction (locals in
+        #: a function, globals in main); None where control cannot reach.
+        self._bound: Optional[Set[str]] = set(params)
         self._line = 0
         #: (continue target label, break target label) stack.
         self._loops: List[Tuple[object, object]] = []
@@ -151,9 +160,10 @@ class _Lowerer:
 
     def _load_name(self, node: ast.Name) -> int:
         name = node.id
+        bound = self._bound is None or name in self._bound
         if not self.is_main and name in self.local_slots:
             slot = self.local_slots[name]
-            if name not in self._bound_locals:
+            if not bound:
                 self._emit(tac.CHK, a=slot, extra=name)
             return slot
         if name in self.functions:
@@ -163,17 +173,20 @@ class _Lowerer:
         if name not in self.global_names:
             self.global_names.append(name)
         dst = self._temp()
-        self._emit(tac.GLOAD, dst=dst, extra=name)
+        # Only main's stores reach ``_bound``: a function may run before
+        # main binds the global, so its reads keep the NameError check.
+        self._emit(tac.GLOAD, dst=dst, b=int(self.is_main and bound),
+                   extra=name)
         return dst
 
     def _store_name(self, name: str, value: int, node: ast.AST) -> None:
         if name in self.functions or name in BUILTIN_ARITY or name == "range":
             _fail(f"cannot assign to {name!r}", node)
+        # Bound from here on along this path; _if and the loops merge
+        # the paths where control joins.
+        if self._bound is not None:
+            self._bound.add(name)
         if not self.is_main and name in self.local_slots:
-            # Deliberately does NOT mark the local as bound: straight-line
-            # tracking would be unsound for conditionally-bound locals
-            # (``if c: x = 1`` then a read of ``x``), so only parameters
-            # ever skip the CHK guard.
             self._emit(tac.MOVE, dst=self.local_slots[name], a=value)
             return
         if name not in self.global_names:
@@ -401,6 +414,7 @@ class _Lowerer:
                 value = self._temp()
                 self._emit(tac.NONE, dst=value)
             self._emit(tac.RET, a=value)
+            self._bound = None
             return
         if isinstance(node, ast.Assert):
             self._assert(node)
@@ -413,12 +427,14 @@ class _Lowerer:
                 _fail("'break' outside loop", node)
             self._mark(node, "break")
             self._emit(tac.JMP, extra=self._loops[-1][1])
+            self._bound = None
             return
         if isinstance(node, ast.Continue):
             if not self._loops:
                 _fail("'continue' outside loop", node)
             self._mark(node, "continue")
             self._emit(tac.JMP, extra=self._loops[-1][0])
+            self._bound = None
             return
         if isinstance(node, ast.Pass):
             self._mark(node, "pass")
@@ -426,6 +442,16 @@ class _Lowerer:
         if isinstance(node, ast.FunctionDef):
             _fail("nested function definitions are outside PyLite", node)
         _fail(f"{type(node).__name__} statements are outside PyLite", node)
+
+    def _body(self, stmts: List[ast.stmt], bound: Optional[Set[str]]) -> None:
+        """Lower ``stmts`` from a copy of ``bound``; leaves what they bind.
+
+        A loop restores its entry bindings afterwards: its body may run
+        zero times, and a ``break`` leaves with a superset of them.
+        """
+        self._bound = None if bound is None else set(bound)
+        for stmt in stmts:
+            self._stmt(stmt)
 
     def _assign(self, node: ast.Assign) -> None:
         if len(node.targets) != 1:
@@ -481,12 +507,13 @@ class _Lowerer:
         done = self._label()
         self._emit(tac.CJMP, a=cond, b=then_label, extra=else_label)
         self._place(then_label)
-        for stmt in node.body:
-            self._stmt(stmt)
+        before = self._bound
+        self._body(node.body, before)
+        then_bound = self._bound
         self._emit(tac.JMP, extra=done)
         self._place(else_label)
-        for stmt in node.orelse:
-            self._stmt(stmt)
+        self._body(node.orelse, before)
+        self._bound = _meet(then_bound, self._bound)
         self._place(done)
 
     def _while(self, node: ast.While) -> None:
@@ -501,8 +528,9 @@ class _Lowerer:
         self._emit(tac.CJMP, a=cond, b=body, extra=done)
         self._place(body)
         self._loops.append((test, done))
-        for stmt in node.body:
-            self._stmt(stmt)
+        before = self._bound
+        self._body(node.body, before)
+        self._bound = before
         self._loops.pop()
         self._emit(tac.JMP, extra=test)
         self._place(done)
@@ -545,10 +573,13 @@ class _Lowerer:
         self._place(body)
         # The loop variable only binds when the body actually runs —
         # CPython leaves it unbound after a zero-iteration loop.
+        before = self._bound
+        self._bound = None if before is None else set(before)
         self._store_name(node.target.id, counter, node)
         self._loops.append((incr, done))
         for stmt in node.body:
             self._stmt(stmt)
+        self._bound = before
         self._loops.pop()
         self._place(incr)
         bumped = self._temp()
@@ -602,6 +633,7 @@ class _Lowerer:
             _fail(f"unknown exception type {name!r}", node)
         self._mark(node, "raise")
         self._emit(tac.RAISE, extra=name)
+        self._bound = None
 
 
 def lower_module(source: str) -> TacModule:

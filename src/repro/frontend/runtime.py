@@ -11,8 +11,10 @@ routines instead of a whole interpreter, because the frontend already
 compiled the control flow.  The engine pays for every instruction the
 routines run, so they are tuned the way Chef tunes its interpreter
 build: allocation and int boxing are inline (:meth:`Asm.alloc`,
-:meth:`Asm.box`), counted loops test at the bottom, and dict lookups
-compare key identity before value equality (:func:`_rt_dfind`).
+:meth:`Asm.box`), counted loops test at the bottom, dict lookups
+compare key identity before value equality (:func:`_rt_dfind`), and a
+string-literal subscript first tries the entry its site hit last
+(:func:`_rt_dget`, :func:`_rt_dset`).
 
 Memory layout (word-addressed):
 
@@ -581,6 +583,70 @@ def _rt_dfind() -> Function:
     return f.finish()
 
 
+def _literal_key_site(name: str, fallback: str, n_params: int):
+    """The entry ``name(d, key, ..., cell)``'s hint names, else ``miss``.
+
+    ``key`` is a site's interned string literal, and its hint ``cell``
+    holds the key's entry offset at the site's last hit.  A non-dict
+    tail-calls ``fallback`` (``rt_index``/``rt_setindex``), so its
+    ``TypeError`` stays exact.  The hint hits only if the offset is
+    inside the live entries and that entry's key *is* the box: the entry
+    :func:`_rt_dfind`'s identity pass returns.  Every word it reads is
+    concrete, so it never forks.  Returns ``(asm, slot, miss)``.
+    """
+    f = Asm(name, n_params)
+    is_dict, other, in_range, hit, miss = (f.label() for _ in range(5))
+    f.br_tag(f.load(0), TAG_DICT, is_dict, other)
+    f.place(other)
+    f.ret(f.call(fallback, list(range(n_params - 1))))
+    f.place(is_dict)
+    off = f.load(n_params - 1)
+    n = f.load_at(0, 1)
+    f.br(f.bin("lt", off, f.add(n, n)), in_range, miss)
+    f.place(in_range)
+    slot = f.add(f.load_at(0, 3), off)
+    f.br(f.bin("eq", f.load(slot), 1), hit, miss)
+    f.place(hit)
+    return f, slot, miss
+
+
+def _rt_dget() -> Function:
+    """``d[key]`` for a string-literal ``key``, with its hint cell.
+
+    A miss runs :func:`_rt_dfind`, identity pass first, and points the
+    cell at the entry it finds; a string key is hashable, so an absent
+    one raises ``KeyError`` at once.
+    """
+    f, slot, miss = _literal_key_site("rt_dget", "rt_index", 3)
+    f.ret(f.load_at(slot, 1))
+    f.place(miss)
+    slot = f.call("rt_dfind", [0, 1])
+    found, missing = f.label(), f.label()
+    f.br(slot, found, missing)
+    f.place(found)
+    f.store(2, f.bin("sub", slot, f.load_at(0, 3)))
+    f.ret(f.load_at(slot, 1))
+    f.place(missing)
+    f.raise_(_KEY_ERROR)
+    return f.finish()
+
+
+def _rt_dset() -> Function:
+    """``d[key] = value`` for a string-literal ``key``, with its hint cell.
+
+    A miss stores through :func:`_rt_dput` and points the cell at the
+    entry it returns.
+    """
+    f, slot, miss = _literal_key_site("rt_dset", "rt_setindex", 4)
+    f.store_at(slot, 1, 2)
+    f.ret(None)
+    f.place(miss)
+    slot = f.call("rt_dput", [0, 1, 2])
+    f.store(3, f.bin("sub", slot, f.load_at(0, 3)))
+    f.ret(None)
+    return f.finish()
+
+
 def _rt_setindex() -> Function:
     f = Asm("rt_setindex", 3)
     tag = f.load(0)
@@ -603,13 +669,14 @@ def _rt_setindex() -> Function:
 
 
 def _rt_dput() -> Function:
+    """``d[key] = value`` on a dict; returns the address of key's entry."""
     f = Asm("rt_dput", 3)
     slot = f.call("rt_dfind", [0, 1])
     found, absent = f.label(), f.label()
     f.br(slot, found, absent)
     f.place(found)
     f.store_at(slot, 1, 2)
-    f.reti(0)
+    f.ret(slot)
     f.place(absent)
     _require_hashable(f, 1)
     n = f.load_at(0, 1)
@@ -628,7 +695,7 @@ def _rt_dput() -> Function:
     f.store(slot2, 1)
     f.store(f.addi(slot2, 1), 2)
     f.store_at(0, 1, f.addi(n, 1))
-    f.reti(0)
+    f.ret(slot2)
     return f.finish()
 
 
@@ -889,6 +956,8 @@ def _build() -> Tuple[Function, ...]:
         _rt_len(),
         _rt_index(),
         _rt_dfind(),
+        _rt_dget(),
+        _rt_dset(),
         _rt_setindex(),
         _rt_dput(),
         _rt_append(),

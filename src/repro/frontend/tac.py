@@ -33,7 +33,8 @@ LIST = "list"          # dst <- [args...]
 DICT = "dict"          # dst <- {args[0]: args[1], args[2]: args[3], ...}
 CALL = "call"          # dst <- extra(args...)        user function
 BUILTIN = "builtin"    # dst <- extra(args...)        runtime builtin
-GLOAD = "gload"        # dst <- global <extra>
+GLOAD = "gload"        # dst <- global <extra>; b set: main bound it on
+                       #   every path here, so no NameError check
 GSTORE = "gstore"      # global <extra> <- temp a
 JMP = "jmp"            # goto instruction index target
 CJMP = "cjmp"          # if truthy(a) goto on_true else on_false
@@ -121,7 +122,7 @@ class TacInstr:
             argl = ", ".join(f"t{t}" for t in self.args or ())
             return f"t{self.dst} = {self.extra}({argl})"
         if op == GLOAD:
-            return f"t{self.dst} = global {self.extra}"
+            return f"t{self.dst} = global {self.extra}" + (" (bound)" if self.b else "")
         if op == GSTORE:
             return f"global {self.extra} = t{self.a}"
         if op == JMP:

@@ -50,8 +50,9 @@ _MAX_SHIFT = 512
 #: instruction count.
 _FAULTING = frozenset(("div", "mod", "shl", "shr"))
 
-#: Comparison operators decoded to a C-level compare instead of the
-#: Python lambda in :data:`BINOP_FUNCS` (they store ints, never bools).
+#: Comparison operators a compare fused with its BR runs as a C-level
+#: compare instead of the Python lambda in :data:`BINOP_FUNCS` (it
+#: stores ints, never bools).
 _COMPARES = {
     "eq": operator.eq,
     "ne": operator.ne,
@@ -100,6 +101,135 @@ def _concrete_bin(op: str, a: int, b: int) -> int:
     if func is None:
         raise GuestFault(f"unknown binary operator {op!r}")
     return func(a, b)
+
+
+# -- superinstructions ----------------------------------------------------------
+
+
+def _fast_bin(ins: Instr) -> bool:
+    """A BIN whose concrete fast path cannot fault."""
+    return ins.op == Opcode.BIN and ins.extra in BINOP_FUNCS and ins.extra not in _FAULTING
+
+
+def _superinstruction(instrs: List[Instr], pc: int):
+    """``(run, width, ends_block)`` of the fused shape at ``pc``, or None.
+
+    With ``k`` a ``CONST`` of an int that the next ``BIN`` reads as ``b``,
+    the shapes are the LINE sequence (as one transfer), ``[k;] BIN cmp;
+    BR``, ``[k;] BIN add; LOAD`` and ``k; BIN``.  A fused op writes every
+    register and word its instructions write, in their order.  Only its
+    ``BIN`` can miss the fast path, and then it returns the ``BIN``'s pc
+    with the ``CONST`` before it done, so the stepper resumes there.
+    """
+    first = instrs[pc]
+    k = None
+    if first.op == Opcode.CONST and type(first.a) is int:
+        line_op = _line_op(instrs[pc:pc + 5], pc + 5)
+        if line_op is not None:
+            return line_op, 5, True
+        k = first
+        pc += 1
+        if pc == len(instrs) or not _fast_bin(instrs[pc]) or instrs[pc].b != k.dst:
+            return None
+    elif not _fast_bin(first):
+        return None
+    bin_ = instrs[pc]
+    width = 1 if k is None else 2
+    if pc + 1 < len(instrs) and instrs[pc + 1].a == bin_.dst:
+        nxt = instrs[pc + 1]
+        if nxt.op == Opcode.BR and bin_.extra in _COMPARES:
+            return _cmp_br_op(k, bin_, nxt, pc), width + 1, True
+        if nxt.op == Opcode.LOAD and bin_.extra == "add":
+            return _add_load_op(k, bin_, nxt, pc), width + 1, False
+    if k is None:
+        return None
+    return _const_bin_op(k, bin_, pc), 2, False
+
+
+def _line_op(window: List[Instr], next_pc: int):
+    """``CONST line; CONST kind; CONST addr; STORE [addr] <- line;
+    HYPER log_pc(line, kind)`` as one transfer, if ``window`` is that."""
+    if len(window) < 5:
+        return None
+    line, kind, addr, store, hyper = window
+    if not (
+        kind.op == addr.op == Opcode.CONST
+        and type(kind.a) is int and type(addr.a) is int
+        and len({line.dst, kind.dst, addr.dst}) == 3
+        and store.op == Opcode.STORE and (store.a, store.b) == (addr.dst, line.dst)
+        and hyper.op == Opcode.HYPER and hyper.extra == api.LOG_PC
+        and list(hyper.args or ()) == [line.dst, kind.dst]
+    ):
+        return None
+
+    def line_op(state, frame, regs, engine, ld=line.dst, lv=line.a, kd=kind.dst,
+                kv=kind.a, ad=addr.dst, av=addr.a, dst=hyper.dst, next_pc=next_pc):
+        regs[ld] = lv
+        regs[kd] = kv
+        regs[ad] = av
+        state.machine.memory[av] = lv
+        frame.pc = next_pc
+        engine._log_pc(state, lv, kv)
+        if dst is not None:
+            regs[dst] = 0
+    return line_op
+
+
+def _const_bin_op(k: Instr, ins: Instr, pc: int):
+    def const_bin(regs, memory, kd=k.dst, k=k.a, dst=ins.dst, a=ins.a, pc=pc,
+                  binop=BINOP_FUNCS[ins.extra]):
+        regs[kd] = k
+        va = regs[a]
+        if type(va) is not int:
+            return pc
+        regs[dst] = binop(va, k)
+    return const_bin
+
+
+def _add_load_op(k: Optional[Instr], add: Instr, load: Instr, pc: int):
+    if k is None:
+        def add_load(regs, memory, t=add.dst, a=add.a, b=add.b, dst=load.dst, pc=pc):
+            va = regs[a]
+            vb = regs[b]
+            if type(va) is not int or type(vb) is not int:
+                return pc
+            addr = regs[t] = va + vb
+            regs[dst] = memory.get(addr, 0)
+        return add_load
+
+    def const_add_load(regs, memory, kd=k.dst, k=k.a, t=add.dst, a=add.a,
+                       dst=load.dst, pc=pc):
+        regs[kd] = k
+        va = regs[a]
+        if type(va) is not int:
+            return pc
+        addr = regs[t] = va + k
+        regs[dst] = memory.get(addr, 0)
+    return const_add_load
+
+
+def _cmp_br_op(k: Optional[Instr], cmp: Instr, br: Instr, pc: int):
+    compare = _COMPARES[cmp.extra]
+    if k is None:
+        def cmp_br(state, frame, regs, engine, dst=cmp.dst, a=cmp.a, b=cmp.b, pc=pc,
+                   on_true=br.b, on_false=br.extra, compare=compare):
+            va = regs[a]
+            vb = regs[b]
+            if type(va) is not int or type(vb) is not int:
+                return pc
+            cond = regs[dst] = 1 if compare(va, vb) else 0
+            frame.pc = on_true if cond else on_false
+        return cmp_br
+
+    def const_cmp_br(state, frame, regs, engine, kd=k.dst, k=k.a, dst=cmp.dst,
+                     a=cmp.a, pc=pc, on_true=br.b, on_false=br.extra, compare=compare):
+        regs[kd] = k
+        va = regs[a]
+        if type(va) is not int:
+            return pc
+        cond = regs[dst] = 1 if compare(va, k) else 0
+        frame.pc = on_true if cond else on_false
+    return const_cmp_br
 
 
 @dataclass
@@ -571,8 +701,9 @@ class LowLevelEngine:
         ``body`` runs straight-line instructions as ``run(regs, memory)``,
         ``transfer(state, frame, regs, engine)`` is the control transfer
         that ends the block, and ``n`` counts both.  A function returns
-        its own pc when its fast path does not apply.  Each instruction is
-        decoded once and shared by every block that covers it.
+        the pc of its first instruction not run when its fast path does
+        not apply.  The op at a pc, one instruction or a superinstruction,
+        is decoded once and shared by every block whose walk reaches it.
 
         The block is cached in ``func.blocks``, where every engine of the
         process finds it.  Two threads may decode one block at once: the
@@ -583,20 +714,25 @@ class LowLevelEngine:
         ops = func.ops
         if ops is None:
             ops = func.ops = [None] * len(instrs)
+        body = []
         pc = entry
         while pc < len(instrs):
-            if ops[pc] is None:
-                ops[pc] = self._decode_instr(instrs[pc], pc)
-            if instrs[pc].op in _TRANSFERS:
-                transfer = ops[pc]
+            op = ops[pc]
+            if op is None:  # a superinstruction, or the one instruction
+                op = ops[pc] = _superinstruction(instrs, pc) or (
+                    self._decode_instr(instrs[pc], pc), 1, instrs[pc].op in _TRANSFERS
+                )
+            run, width, ends = op
+            pc += width
+            if ends:
+                transfer = run
                 break
-            pc += 1
+            body.append(run)
         else:  # past the end there is nothing to run: the stepper faults
-            def transfer(state, frame, regs, engine):
-                return pc
-        block = func.blocks[entry] = (
-            tuple(ops[entry:pc]), transfer, pc - entry + 1
-        )
+            def transfer(state, frame, regs, engine, end=pc):
+                return end
+            pc += 1
+        block = func.blocks[entry] = (tuple(body), transfer, pc - entry)
         self.stats.blocks_decoded += 1
         return block
 
@@ -618,14 +754,7 @@ class LowLevelEngine:
         elif op == Opcode.MOVE:
             def run(regs, memory, dst=dst, a=a):
                 regs[dst] = regs[a]
-        elif op == Opcode.BIN and extra in _COMPARES:
-            def run(regs, memory, dst=dst, a=a, b=b, pc=pc, compare=_COMPARES[extra]):
-                va = regs[a]
-                vb = regs[b]
-                if type(va) is not int or type(vb) is not int:
-                    return pc
-                regs[dst] = 1 if compare(va, vb) else 0
-        elif op == Opcode.BIN and extra in BINOP_FUNCS and extra not in _FAULTING:
+        elif _fast_bin(ins):
             def run(regs, memory, dst=dst, a=a, b=b, pc=pc, binop=BINOP_FUNCS[extra]):
                 va = regs[a]
                 vb = regs[b]
@@ -844,11 +973,9 @@ class LowLevelEngine:
 
     def _hypercall(self, state: State, name: str, args: List):
         if name == api.LOG_PC:
-            pc = state.conc(args[0])
-            opcode = state.conc(args[1]) if len(args) > 1 else 0
-            state.hl_instr_count += 1
-            if self.on_log_pc:
-                self.on_log_pc(state, pc, opcode)
+            self._log_pc(
+                state, state.conc(args[0]), state.conc(args[1]) if len(args) > 1 else 0
+            )
             return 0
         if name == api.MAKE_SYMBOLIC:
             return self._make_symbolic(state, args)
@@ -905,6 +1032,11 @@ class LowLevelEngine:
             state.debug.append(args[0] if args else None)
             return 0
         raise GuestFault(f"unknown hypercall {name!r}")
+
+    def _log_pc(self, state: State, pc: int, opcode: int) -> None:
+        state.hl_instr_count += 1
+        if self.on_log_pc:
+            self.on_log_pc(state, pc, opcode)
 
     def _make_symbolic(self, state: State, args: List) -> int:
         addr = state.conc(args[0])

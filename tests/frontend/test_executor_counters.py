@@ -33,16 +33,16 @@ _PACKS = {
 #: sum of ll counts, sum of hl counts, sha256 prefix of the sorted pairs).
 GOLDEN = {
     ("turnstile", "cpcpcpc"): (
-        255, 114_225, 763, 254, 880_640, 12_929, "a408f61f4d3d5bcf"
+        255, 96_213, 763, 254, 804_324, 12_929, "130bcf2205fe48d9"
     ),
-    ("turnstile", "cpcp"): (31, 14_020, 91, 30, 65_893, 993, "16c4fd2f53b4f213"),
-    ("turnstile", "cpc"): (15, 6_857, 43, 14, 25_664, 393, "908be93540cf6cae"),
-    ("rle", "ab"): (2, 3_161, 25, 5, 3_633, 72, "9de35ff881ea1bd6"),
-    ("rle", "abc"): (4, 7_776, 69, 14, 10_022, 176, "202c80ad5d053bc9"),
-    ("rle", "abcd"): (8, 18_187, 173, 34, 25_612, 416, "027620599798d958"),
-    ("parseint", "12"): (8, 1_482, 25, 7, 4_820, 118, "1d36f8eaf7ebc8a9"),
-    ("parseint", "123"): (12, 2_109, 39, 11, 8_980, 202, "38553d72da63884d"),
-    ("parseint", "1234"): (16, 2_736, 53, 15, 14_332, 302, "2949eb8475a79fda"),
+    ("turnstile", "cpcp"): (31, 12_500, 91, 30, 63_221, 993, "c34f128613ffdce2"),
+    ("turnstile", "cpc"): (15, 6_329, 43, 14, 25_200, 393, "cbd898780f044a16"),
+    ("rle", "ab"): (2, 2_945, 25, 5, 3_393, 72, "0517a5f543ef31dd"),
+    ("rle", "abc"): (4, 7_257, 69, 14, 9_374, 176, "cfca181e84fbcfeb"),
+    ("rle", "abcd"): (8, 17_008, 173, 34, 23_980, 416, "f1c4a66a7d24f4b7"),
+    ("parseint", "12"): (8, 1_410, 25, 7, 4_634, 118, "1cf0f2103287b058"),
+    ("parseint", "123"): (12, 2_007, 39, 11, 8_620, 202, "fe6d0d147897f6b7"),
+    ("parseint", "1234"): (16, 2_604, 53, 15, 13_738, 302, "9f585804904f7e34"),
 }
 
 

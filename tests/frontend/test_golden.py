@@ -39,7 +39,7 @@ func main() temps=12
     4: t3 = sym_int(t0, t1, t2)
     5: global n = t3
     6: line 2 kind=2
-    7: t4 = global n
+    7: t4 = global n (bound)
     8: t5 = 3
     9: t6 = t4 lt t5
    10: if t6 jmp @11 else @15
@@ -98,7 +98,7 @@ func main() temps=9
     5: t4 = sym_int(t0, t2, t3)
     6: global n = t4
     7: line 9 kind=5
-    8: t5 = global n
+    8: t5 = global n (bound)
     9: t6 = sign(t5)
    10: t7 = print(t6)
    11: t8 = None

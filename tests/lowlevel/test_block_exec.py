@@ -12,13 +12,18 @@ per-instruction loop (budget check, then a deadline poll every 4096
 instructions, then one step).  Hypothesis generates small LVM programs
 that mix every opcode with symbolic bytes, forks, symbolic pointers,
 concrete division by zero, out-of-range shifts, calls with the wrong
-argument count, returns without a value and call-stack overflow.
+argument count, returns without a value and call-stack overflow.  It is
+biased towards the shapes the block decoder fuses into superinstructions
+(a ``CONST`` feeding a ``BIN``, a load at an offset, a compare with its
+``BR`` and the PyLite ``LINE`` sequence), with concrete and symbolic
+operands; a jump may land inside any of them.
 """
 
 from __future__ import annotations
 
 import time
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +44,11 @@ _UNOPS = ("neg", "lnot", "bnot")
 _CAP = 320
 
 _reg = st.integers(0, _REGS - 1)
+#: an operand that is register 2, the symbolic byte, half the time.
+_operand = st.one_of(st.just(2), _reg)
+_COMPARE_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
+#: the word a LINE sequence stores its line number in (PyLite's LINE_ADDR).
+_LINE_ADDR = 1
 
 
 def _body_instr(n_body: int):
@@ -63,14 +73,24 @@ def _body_instr(n_body: int):
         # a divisor of 0 or a shift of 600 (faults unless jumped over)
         st.builds(lambda o, d, a: ("fault", o, d, a),
                   st.sampled_from(("div", "mod", "shl", "shr")), _reg, _reg),
+        # superinstruction shapes; k is the CONST's register and value
+        st.builds(lambda o, d, a, k, v: ("const_bin", o, d, a, k, v),
+                  st.sampled_from(_BINOPS), _reg, _operand, _reg,
+                  st.integers(-3, 9)),
+        st.builds(lambda fed, t, d, a, k, v: ("add_load", fed, t, d, a, k, v),
+                  st.booleans(), _reg, _reg, _operand, _reg, st.integers(0, 1)),
+        st.builds(lambda fed, o, c, a, k, v, t, f: ("cmp_br", fed, o, c, a, k, v, t, f),
+                  st.booleans(), st.sampled_from(_COMPARE_OPS), _reg, _operand,
+                  _reg, st.integers(-3, 9), target, target),
+        st.builds(lambda r, line, kind: ("line", r, line, kind),
+                  st.permutations(range(_REGS)), st.integers(1, 40),
+                  st.integers(1, 11)),
     )
 
 
-@st.composite
-def programs(draw) -> Program:
-    n_body = draw(st.integers(3, 16))
-    body = draw(st.lists(_body_instr(n_body), min_size=n_body, max_size=n_body))
-    prologue = [
+def _prologue():
+    """Symbolic bytes at ``_BUF``; r0 = their address, r2 = the first."""
+    return [
         Instr(Opcode.CONST, dst=0, a=_BUF),
         Instr(Opcode.CONST, dst=1, a=2),
         Instr(Opcode.HYPER, dst=None, extra=api.MAKE_SYMBOLIC, args=[0, 1]),
@@ -79,6 +99,13 @@ def programs(draw) -> Program:
         Instr(Opcode.CONST, dst=4, a=3),
         Instr(Opcode.CONST, dst=5, a=_BUF + 1),
     ]
+
+
+@st.composite
+def programs(draw) -> Program:
+    n_body = draw(st.integers(3, 16))
+    body = draw(st.lists(_body_instr(n_body), min_size=n_body, max_size=n_body))
+    prologue = _prologue()
     base = len(prologue)
     instrs = list(prologue)
 
@@ -117,6 +144,29 @@ def programs(draw) -> Program:
             emit(Opcode.HYPER, extra=api.OUT, args=[ops[0]])
         elif kind == "recurse":
             emit(Opcode.CALL, dst=None, extra="recurse", args=[ops[0]])
+        elif kind == "const_bin":
+            op, dst, a, k, value = ops
+            emit(Opcode.CONST, dst=k, a=value)
+            emit(Opcode.BIN, extra=op, dst=dst, a=a, b=k)
+        elif kind == "add_load":
+            fed, t, dst, a, k, value = ops
+            if fed:
+                emit(Opcode.CONST, dst=k, a=value)
+            emit(Opcode.BIN, extra="add", dst=t, a=a, b=k)
+            emit(Opcode.LOAD, dst=dst, a=t)
+        elif kind == "cmp_br":
+            fed, op, cond, a, k, value, on_true, on_false = ops
+            if fed:
+                emit(Opcode.CONST, dst=k, a=value)
+            emit(Opcode.BIN, extra=op, dst=cond, a=a, b=k)
+            emit(Opcode.BR, a=cond, b=base + on_true, extra=base + on_false)
+        elif kind == "line":
+            (line_reg, kind_reg, addr_reg, dst, *_), line, stmt_kind = ops
+            emit(Opcode.CONST, dst=line_reg, a=line)
+            emit(Opcode.CONST, dst=kind_reg, a=stmt_kind)
+            emit(Opcode.CONST, dst=addr_reg, a=_LINE_ADDR)
+            emit(Opcode.STORE, a=addr_reg, b=line_reg)
+            emit(Opcode.HYPER, dst=dst, extra=api.LOG_PC, args=[line_reg, kind_reg])
         else:
             emit(Opcode.HYPER, extra=api.OUT, args=[ops[0]])
     instrs.append(Instr(Opcode.HYPER, extra=api.OUT, args=[2]))
@@ -191,6 +241,7 @@ def _fingerprint(state, pending):
         state.status,
         state.fault_message,
         state.instr_count,
+        state.hl_instr_count,
         machine.halt_code,
         list(machine.output),
         dict(machine.memory),
@@ -265,6 +316,75 @@ def test_deadline_polls_land_exactly(program, start_count):
     pending = blocked.run_path(state, max_instrs=4096 + _CAP)
     reference_pending = _stepped_run(stepped, reference, 4096 + _CAP)
     assert _fingerprint(state, pending) == _fingerprint(reference, reference_pending)
+
+
+#: per fused shape, a main body (after the prologue) that decodes to it;
+#: ``{a}`` is the operand register: 3 holds a concrete 0, 2 the
+#: symbolic byte and 0 the buffer's address.
+_SHAPES = {
+    "const_bin": [
+        Instr(Opcode.CONST, dst=4, a=3),
+        Instr(Opcode.BIN, dst=1, a="{a}", b=4, extra="sub"),
+    ],
+    "add_load": [
+        Instr(Opcode.BIN, dst=1, a="{a}", b=3, extra="add"),
+        Instr(Opcode.LOAD, dst=1, a=1),
+    ],
+    "const_add_load": [
+        Instr(Opcode.CONST, dst=4, a=1),
+        Instr(Opcode.BIN, dst=1, a="{a}", b=4, extra="add"),
+        Instr(Opcode.LOAD, dst=1, a=1),
+    ],
+    "cmp_br": [
+        Instr(Opcode.BIN, dst=1, a="{a}", b=3, extra="lt"),
+        Instr(Opcode.BR, a=1, b=10, extra=12),
+    ],
+    "const_cmp_br": [
+        Instr(Opcode.CONST, dst=4, a=7),
+        Instr(Opcode.BIN, dst=1, a="{a}", b=4, extra="ge"),
+        Instr(Opcode.BR, a=1, b=11, extra=13),
+    ],
+    "line_op": [
+        Instr(Opcode.CONST, dst=1, a=12),
+        Instr(Opcode.CONST, dst=4, a=5),
+        Instr(Opcode.CONST, dst=3, a=_LINE_ADDR),
+        Instr(Opcode.STORE, a=3, b=1),
+        Instr(Opcode.HYPER, dst=1, extra=api.LOG_PC, args=[1, 4]),
+    ],
+}
+
+
+def _shape_program(shape: str, operand: int) -> Program:
+    instrs = _prologue()
+    for ins in _SHAPES[shape]:
+        a = operand if ins.a == "{a}" else ins.a
+        instrs.append(Instr(ins.op, dst=ins.dst, a=a, b=ins.b, extra=ins.extra,
+                            args=ins.args))
+    # Branch targets above land in this tail, which prints every register.
+    while len(instrs) < 14:
+        instrs.append(Instr(Opcode.HYPER, extra=api.OUT, args=[len(instrs) % _REGS]))
+    instrs += [Instr(Opcode.HYPER, extra=api.OUT, args=[r]) for r in range(_REGS)]
+    instrs.append(Instr(Opcode.RET, a=None))
+    program = Program()
+    program.add_function(Function("main", 0, _REGS, instrs))
+    return program.finalize()
+
+
+@pytest.mark.parametrize("operand", [3, 2, 0], ids=["concrete", "symbolic", "address"])
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_each_fused_shape_matches_the_stepper(shape, operand):
+    program = _shape_program(shape, operand)
+    blocked = _engine(program)
+    stepped = _engine(program)
+    assert _explore(blocked, blocked.run_path, _CAP) == _explore(
+        stepped, lambda s, b: _stepped_run(stepped, s, b), _CAP
+    )
+    decoded = {
+        run.__name__
+        for body, transfer, _n in program.functions["main"].blocks.values()
+        for run in (*body, transfer)
+    }
+    assert shape in decoded
 
 
 def test_engine_counters_split_block_and_stepped_instructions():

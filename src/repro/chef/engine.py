@@ -47,6 +47,7 @@ from repro.solver.backend import SolverBackend
 from repro.solver.csp import make_default_solver
 
 _log = logging.getLogger("repro.checkpoint")
+_solver_log = logging.getLogger("repro.solver")
 
 
 @dataclass
@@ -422,7 +423,9 @@ class Chef:
             yield BudgetExhausted(reason=exhausted)
         duration = time.monotonic() - self._start_time
         self._timeline.append((duration, self.tree.distinct_paths(), self._ll_paths))
-        yield MetricsUpdated(metrics=telemetry.metrics())
+        metrics = telemetry.metrics()
+        self._log_give_ups(metrics)
+        yield MetricsUpdated(metrics=metrics)
         yield RunFinished(
             result=RunResult(
                 suite=self.suite,
@@ -440,6 +443,17 @@ class Chef:
                 tags=dict(config.tags or {}),
             )
         )
+
+    def _log_give_ups(self, metrics: Dict[str, float]) -> None:
+        """One line for the run's solver give-ups past each solver's first."""
+        count = metrics.get("solver.timeouts", 0) + metrics.get(
+            "solver.deadline_unknowns", 0)
+        if count > 1:
+            _solver_log.warning(
+                "%d solver queries gave up in this run (budget %d steps, "
+                "deadline %ss)", count, self.config.solver_budget,
+                self.config.solver_deadline_s,
+            )
 
     def _flush_events(self) -> List[SessionEvent]:
         events, self._event_buffer = self._event_buffer, []
@@ -555,7 +569,9 @@ class Chef:
         # Chef.telemetry.metrics() answers for the whole run, and the
         # legacy RunResult dicts below are prefix views of that snapshot.
         self.telemetry.adopt_snapshot(merged)
-        yield MetricsUpdated(metrics=self.telemetry.metrics())
+        metrics = self.telemetry.metrics()
+        self._log_give_ups(metrics)
+        yield MetricsUpdated(metrics=metrics)
         yield RunFinished(
             result=RunResult(
                 suite=self.suite,

@@ -57,18 +57,15 @@ def build_cfg(fn: TacFunction) -> Cfg:
     n = len(fn.instrs)
     leaders = {0}
     for i, instr in enumerate(fn.instrs):
-        if instr.op == JMP:
+        op = instr.op
+        if op == JMP:
             leaders.add(instr.extra)
-            if i + 1 < n:
-                leaders.add(i + 1)
-        elif instr.op == CJMP:
+        elif op == CJMP:
             leaders.add(instr.b)
             leaders.add(instr.extra)
-            if i + 1 < n:
-                leaders.add(i + 1)
-        elif instr.op in (RET, RAISE):
-            if i + 1 < n:
-                leaders.add(i + 1)
+        elif op != RET and op != RAISE:
+            continue
+        leaders.add(i + 1)  # a terminator or branch ends its block
     ordered = sorted(leader for leader in leaders if leader < n)
     blocks: List[BasicBlock] = []
     block_of: Dict[int, BasicBlock] = {}
@@ -83,7 +80,7 @@ def build_cfg(fn: TacFunction) -> Cfg:
             succ = ()
         else:
             succ = (end,) if end < n else ()
-        block = BasicBlock(index=bi, start=start, end=end, successors=succ)
+        block = BasicBlock(bi, start, end, succ)
         blocks.append(block)
         block_of[start] = block
     return Cfg(function=fn.name, blocks=blocks, block_of=block_of)

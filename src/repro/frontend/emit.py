@@ -1,8 +1,9 @@
 """TAC + CFG → LVM ``Program`` emission.
 
 One linear pass per function: TAC temps map 1:1 onto LVM registers, every
-CFG block leader gets an LVM label, and each TAC instruction expands to a
-handful of LIR instructions (operators become ``CALL``s into the
+CFG block leader gets an LVM label, and each TAC instruction expands,
+through the ``_<op>`` method of its op, to a handful of LIR
+instructions (operators become ``CALL``s into the
 :mod:`.runtime` library, constants become static-pool box addresses).
 A compare that only the next ``CJMP`` reads is fused with it: one call
 of a word-valued runtime compare and a ``BR`` on the word.  A subscript
@@ -16,6 +17,7 @@ with runtime routines.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Set
 
 from repro.frontend import tac
@@ -33,7 +35,7 @@ from repro.frontend.runtime import (
 )
 from repro.frontend.tac import EXC_IDS, TacFunction, TacModule
 from repro.lowlevel import api
-from repro.lowlevel.program import FunctionBuilder, Opcode, Program
+from repro.lowlevel.program import FunctionBuilder, Instr, Opcode, Program
 
 _BIN_RT = {
     "add": "rt_add", "sub": "rt_sub", "mul": "rt_mul",
@@ -145,9 +147,10 @@ def _fused_compares(fn: TacFunction, cfg: Cfg) -> Set[int]:
             reads.extend(instr.args)
         prev = instr
     named = fn.local_slots.values()
+    readers = Counter(reads)
     return {
         index for index in candidates
-        if instrs[index].dst not in named and reads.count(instrs[index].dst) == 1
+        if instrs[index].dst not in named and readers[instrs[index].dst] == 1
     }
 
 
@@ -157,15 +160,14 @@ class _FunctionEmitter:
         self.fn = fn
         self.cfg = cfg
         self.pool = pool
-        self.builder = FunctionBuilder(lvm_name, n_params=len(fn.params))
+        self.builder = b = FunctionBuilder(lvm_name, n_params=len(fn.params))
         # Reserve one LVM register per TAC temp (params occupy the first).
-        while self.builder._next_reg < fn.n_temps:
-            self.builder.new_reg()
+        b.new_regs(fn.n_temps - len(fn.params))
         self.is_main = is_main
-        #: TAC leader index -> LVM label.
-        self.block_labels = {
-            block.start: self.builder.new_label() for block in cfg.blocks
-        }
+        #: TAC leader index -> LVM label, and the reference a jump holds.
+        self.block_labels = {block.start: b.new_label() for block in cfg.blocks}
+        self.targets = {start: b.label_ref(label)
+                        for start, label in self.block_labels.items()}
         self.fused = _fused_compares(fn, cfg)
         #: temps that only ever hold a string literal's box.
         self.str_temps = {i.dst for i in fn.instrs if i.op == tac.STR}
@@ -173,102 +175,116 @@ class _FunctionEmitter:
     def emit(self):
         b = self.builder
         if self.is_main:
-            b.emit(Opcode.HYPER, dst=b.new_reg(), extra=api.START_SYMBOLIC,
-                   args=[])
+            b.emit(Opcode.HYPER, b.new_reg(), None, None, api.START_SYMBOLIC, [])
         instrs = self.fn.instrs
         fused = self.fused
         for block in self.cfg.blocks:
             b.place_label(self.block_labels[block.start])
             index = block.start
             while index < block.end:
+                instr = instrs[index]
                 if index in fused:
-                    self._compare_and_branch(instrs[index], instrs[index + 1])
+                    self._compare_and_branch(instr, instrs[index + 1])
                     index += 2
                 else:
-                    self._instr(instrs[index])
+                    b.set_line(instr.line)
+                    _EMITTERS[instr.op](self, instr)
                     index += 1
         return b.finish()
 
     # -- helpers --------------------------------------------------------------
 
-    def _call(self, dst, name: str, args: List[int]) -> None:
-        self.builder.emit(Opcode.CALL, dst=dst, extra=name, args=args)
+    def _call_rt(self, dst, name: str, args: List[int]) -> None:
+        self.builder.emit(Opcode.CALL, dst, None, None, name, args)
 
     def _scratch_call(self, name: str, args: List[int]) -> None:
-        self._call(self.builder.new_reg(), name, args)
+        self._call_rt(self.builder.new_reg(), name, args)
 
-    def _label_of(self, target: int):
-        return FunctionBuilder.label_ref(self.block_labels[target])
+    # -- per-instruction lowering: ``_<op>`` emits TAC op <op> ---------------
 
-    # -- per-instruction lowering ---------------------------------------------
+    def _const(self, instr: tac.TacInstr) -> None:
+        self.builder.emit(Opcode.CONST, instr.dst, self.pool.int_box(instr.a))
 
-    def _instr(self, instr: tac.TacInstr) -> None:
+    def _str(self, instr: tac.TacInstr) -> None:
+        self.builder.emit(Opcode.CONST, instr.dst, self.pool.str_box(instr.extra))
+
+    def _none(self, instr: tac.TacInstr) -> None:
+        self.builder.emit(Opcode.CONST, instr.dst, NONE_ADDR)
+
+    def _move(self, instr: tac.TacInstr) -> None:
+        self.builder.emit(Opcode.MOVE, instr.dst, instr.a)
+
+    def _bin(self, instr: tac.TacInstr) -> None:
+        self._call_rt(instr.dst, _BIN_RT[instr.extra], [instr.a, instr.b])
+
+    def _un(self, instr: tac.TacInstr) -> None:
+        self._call_rt(instr.dst, _UN_RT[instr.extra], [instr.a])
+
+    def _index(self, instr: tac.TacInstr) -> None:
+        if instr.b in self.str_temps:
+            hint = self.builder.const(self.pool.hint_cell())
+            self._call_rt(instr.dst, "rt_dget", [instr.a, instr.b, hint])
+        else:
+            self._call_rt(instr.dst, "rt_index", [instr.a, instr.b])
+
+    def _setindex(self, instr: tac.TacInstr) -> None:
+        if instr.args[1] in self.str_temps:
+            hint = self.builder.const(self.pool.hint_cell())
+            self._scratch_call("rt_dset", list(instr.args) + [hint])
+        else:
+            self._scratch_call("rt_setindex", list(instr.args))
+
+    def _call(self, instr: tac.TacInstr) -> None:
+        self._call_rt(instr.dst, f"py_{instr.extra}", list(instr.args or ()))
+
+    def _builtin(self, instr: tac.TacInstr) -> None:
+        self._call_rt(instr.dst, _BUILTIN_RT[instr.extra], list(instr.args or ()))
+
+    def _gload(self, instr: tac.TacInstr) -> None:
         b = self.builder
-        b.set_line(instr.line)
-        op = instr.op
-        if op == tac.CONST:
-            b.emit(Opcode.CONST, dst=instr.dst, a=self.pool.int_box(instr.a))
-        elif op == tac.STR:
-            b.emit(Opcode.CONST, dst=instr.dst, a=self.pool.str_box(instr.extra))
-        elif op == tac.NONE:
-            b.emit(Opcode.CONST, dst=instr.dst, a=NONE_ADDR)
-        elif op == tac.MOVE:
-            b.emit(Opcode.MOVE, dst=instr.dst, a=instr.a)
-        elif op == tac.BIN:
-            self._call(instr.dst, _BIN_RT[instr.extra], [instr.a, instr.b])
-        elif op == tac.UN:
-            self._call(instr.dst, _UN_RT[instr.extra], [instr.a])
-        elif op == tac.INDEX:
-            if instr.b in self.str_temps:
-                hint = b.const(self.pool.hint_cell())
-                self._call(instr.dst, "rt_dget", [instr.a, instr.b, hint])
-            else:
-                self._call(instr.dst, "rt_index", [instr.a, instr.b])
-        elif op == tac.SETINDEX:
-            if instr.args[1] in self.str_temps:
-                hint = b.const(self.pool.hint_cell())
-                self._scratch_call("rt_dset", list(instr.args) + [hint])
-            else:
-                self._scratch_call("rt_setindex", list(instr.args))
-        elif op == tac.LIST:
-            self._list(instr)
-        elif op == tac.DICT:
-            self._dict(instr)
-        elif op == tac.CALL:
-            self._call(instr.dst, f"py_{instr.extra}", list(instr.args or ()))
-        elif op == tac.BUILTIN:
-            self._call(instr.dst, _BUILTIN_RT[instr.extra],
-                       list(instr.args or ()))
-        elif op == tac.GLOAD:
-            cell = b.const(self.pool.global_cell(instr.extra))
-            value = instr.dst if instr.b else b.new_reg()  # b: bound here
-            b.emit(Opcode.LOAD, dst=value, a=cell)
-            if not instr.b:
-                self._call(instr.dst, "rt_chkname", [value])
-        elif op == tac.GSTORE:
-            cell = b.const(self.pool.global_cell(instr.extra))
-            b.emit(Opcode.STORE, a=cell, b=instr.a)
-        elif op == tac.JMP:
-            b.emit(Opcode.JMP, a=self._label_of(instr.extra))
-        elif op == tac.CJMP:
-            truth = b.new_reg()
-            self._call(truth, "rt_truth", [instr.a])
-            b.emit(Opcode.BR, a=truth, b=self._label_of(instr.b),
-                   extra=self._label_of(instr.extra))
-        elif op == tac.RET:
-            b.emit(Opcode.RET, a=instr.a)
-        elif op == tac.LINE:
-            line_reg = b.const(instr.a)
-            kind_reg = b.const(instr.b)
-            b.emit(Opcode.STORE, a=b.const(LINE_ADDR), b=line_reg)
-            b.emit(Opcode.HYPER, dst=b.new_reg(), extra=api.LOG_PC,
-                   args=[line_reg, kind_reg])
-        elif op == tac.CHK:
-            self._scratch_call("rt_chklocal", [instr.a])
-        elif op == tac.RAISE:
-            self._scratch_call("rt_raise", [b.const(EXC_IDS[instr.extra])])
-        else:  # pragma: no cover - lowering emits no other ops
-            raise AssertionError(f"unhandled TAC op {op!r}")
+        cell = b.const(self.pool.global_cell(instr.extra))
+        value = instr.dst if instr.b else b.new_reg()  # b: bound here
+        b.emit(Opcode.LOAD, value, cell)
+        if not instr.b:
+            self._call_rt(instr.dst, "rt_chkname", [value])
+
+    def _gstore(self, instr: tac.TacInstr) -> None:
+        b = self.builder
+        cell = b.const(self.pool.global_cell(instr.extra))
+        b.emit(Opcode.STORE, None, cell, instr.a)
+
+    def _jmp(self, instr: tac.TacInstr) -> None:
+        self.builder.emit(Opcode.JMP, None, self.targets[instr.extra])
+
+    def _cjmp(self, instr: tac.TacInstr) -> None:
+        b = self.builder
+        truth = b.new_reg()
+        self._call_rt(truth, "rt_truth", [instr.a])
+        b.emit(Opcode.BR, None, truth, self.targets[instr.b],
+               self.targets[instr.extra])
+
+    def _ret(self, instr: tac.TacInstr) -> None:
+        self.builder.emit(Opcode.RET, None, instr.a)
+
+    def _line(self, instr: tac.TacInstr) -> None:
+        """Store the line at ``LINE_ADDR`` and ``log_pc(line, kind)``."""
+        b = self.builder
+        line_reg = b.new_regs(4)
+        kind_reg, addr = line_reg + 1, line_reg + 2
+        b.extend((
+            Instr(Opcode.CONST, line_reg, instr.a),
+            Instr(Opcode.CONST, kind_reg, instr.b),
+            Instr(Opcode.CONST, addr, LINE_ADDR),
+            Instr(Opcode.STORE, None, addr, line_reg),
+            Instr(Opcode.HYPER, line_reg + 3, None, None, api.LOG_PC,
+                  [line_reg, kind_reg]),
+        ))
+
+    def _chk(self, instr: tac.TacInstr) -> None:
+        self._scratch_call("rt_chklocal", [instr.a])
+
+    def _raise(self, instr: tac.TacInstr) -> None:
+        self._scratch_call("rt_raise", [self.builder.const(EXC_IDS[instr.extra])])
 
     def _compare_and_branch(self, cmp: tac.TacInstr, jump: tac.TacInstr) -> None:
         """``BIN t = a <cmp> b; CJMP t`` as one word-valued call and a ``BR``.
@@ -278,21 +294,21 @@ class _FunctionEmitter:
         """
         b = self.builder
         b.set_line(cmp.line)
-        self._call(cmp.dst, _CMP_WORD_RT[cmp.extra], [cmp.a, cmp.b])
-        on_true, on_false = self._label_of(jump.b), self._label_of(jump.extra)
+        self._call_rt(cmp.dst, _CMP_WORD_RT[cmp.extra], [cmp.a, cmp.b])
+        on_true, on_false = self.targets[jump.b], self.targets[jump.extra]
         if cmp.extra == "ne":
             on_true, on_false = on_false, on_true
         b.set_line(jump.line)
-        b.emit(Opcode.BR, a=cmp.dst, b=on_true, extra=on_false)
+        b.emit(Opcode.BR, None, cmp.dst, on_true, on_false)
 
     def _list(self, instr: tac.TacInstr) -> None:
         b = self.builder
         elems = list(instr.args or ())
         n = len(elems)
         box = b.new_reg()
-        self._call(box, "rt_alloc", [b.const(4)])
+        self._call_rt(box, "rt_alloc", [b.const(4)])
         storage = b.new_reg()
-        self._call(storage, "rt_alloc", [b.const(n)])
+        self._call_rt(storage, "rt_alloc", [b.const(n)])
         self._store_at(box, 0, b.const(TAG_LIST))
         self._store_at(box, 1, b.const(n))
         self._store_at(box, 2, b.const(n))
@@ -306,9 +322,9 @@ class _FunctionEmitter:
         pairs = list(instr.args or ())
         n = len(pairs) // 2
         box = b.new_reg()
-        self._call(box, "rt_alloc", [b.const(4)])
+        self._call_rt(box, "rt_alloc", [b.const(4)])
         storage = b.new_reg()
-        self._call(storage, "rt_alloc", [b.const(2 * n)])
+        self._call_rt(storage, "rt_alloc", [b.const(2 * n)])
         self._store_at(box, 0, b.const(TAG_DICT))
         self._store_at(box, 1, b.const(0))
         self._store_at(box, 2, b.const(n))
@@ -331,6 +347,10 @@ class _FunctionEmitter:
         b.emit(Opcode.STORE, a=addr, b=value_reg)
 
 
+#: TAC op -> the _FunctionEmitter method that emits it, ``_<op>``.
+_EMITTERS = {op: getattr(_FunctionEmitter, f"_{op}") for op in tac.OPCODES}
+
+
 def emit_program(module: TacModule, cfgs: Dict[str, Cfg]) -> Program:
     """Compile a lowered module and its CFGs into a finalized Program.
 
@@ -346,8 +366,7 @@ def emit_program(module: TacModule, cfgs: Dict[str, Cfg]) -> Program:
         emitter = _FunctionEmitter(fn, cfgs[name], pool, lvm_name,
                                    is_main=name == "main")
         program.add_function(emitter.emit())
-    for runtime_fn in build_runtime():
-        program.add_function(runtime_fn)
+    program.functions.update(build_runtime())  # rt_ names: no clash
     pool.install(program)
     program.finalize()
     return program

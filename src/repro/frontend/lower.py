@@ -51,6 +51,8 @@ _BIN_OPS = {
     ast.FloorDiv: "floordiv", ast.Mod: "mod",
 }
 
+_UN_OPS = {ast.USub: "neg", ast.Not: "not"}
+
 
 class PyLiteSyntaxError(ReproError):
     """Source uses a construct outside the PyLite subset."""
@@ -68,22 +70,33 @@ def _fail(message: str, node: Optional[ast.AST] = None) -> None:
 
 
 def _assigned_names(stmts: List[ast.stmt]) -> List[str]:
-    """Names bound by assignment/for in ``stmts``, first-binding order."""
-    seen: List[str] = []
+    """Names bound by assignment/for in ``stmts``, first-binding order.
 
-    def record(name: str) -> None:
-        if name not in seen:
-            seen.append(name)
-
-    for node in ast.walk(ast.Module(body=stmts, type_ignores=[])):
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    Breadth-first over statements, as ``ast.walk`` visits them: every
+    statement of one nesting level before any of the next.  Only ``if``,
+    ``while`` and ``for`` nest statements in PyLite, and no expression
+    holds one, so the expressions need no walk.
+    """
+    seen: Dict[str, None] = {}
+    level = stmts
+    while level:
+        nested: List[ast.stmt] = []
+        for node in level:
+            kind = type(node)
+            if kind is ast.Assign:
+                targets = node.targets
+            elif kind is ast.AugAssign or kind is ast.For:
+                targets = [node.target]
+            else:
+                targets = ()
             for target in targets:
-                if isinstance(target, ast.Name):
-                    record(target.id)
-        elif isinstance(node, ast.For) and isinstance(node.target, ast.Name):
-            record(node.target.id)
-    return seen
+                if type(target) is ast.Name:
+                    seen.setdefault(target.id)
+            if kind is ast.If or kind is ast.While or kind is ast.For:
+                nested += node.body
+                nested += node.orelse
+        level = nested
+    return list(seen)
 
 
 def _meet(a: Optional[Set[str]], b: Optional[Set[str]]) -> Optional[Set[str]]:
@@ -145,11 +158,8 @@ class _Lowerer:
         assert self._labels[label] is None, "label placed twice"
         self._labels[label] = len(self.instrs)
 
-    def _emit(self, op, dst=None, a=None, b=None, extra=None, args=None) -> TacInstr:
-        instr = TacInstr(op, dst=dst, a=a, b=b, extra=extra, args=args,
-                         line=self._line)
-        self.instrs.append(instr)
-        return instr
+    def _emit(self, op, dst=None, a=None, b=None, extra=None, args=None) -> None:
+        self.instrs.append(TacInstr(op, dst, a, b, extra, args, self._line))
 
     def _mark(self, node: ast.stmt, kind: str) -> None:
         self._line = node.lineno
@@ -196,61 +206,55 @@ class _Lowerer:
     # -- expressions ----------------------------------------------------------
 
     def _expr(self, node: ast.expr) -> int:
-        if isinstance(node, ast.Constant):
-            return self._constant(node)
-        if isinstance(node, ast.Name):
-            return self._load_name(node)
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Div):
-                _fail("true division '/' is outside PyLite; use '//'", node)
-            op = _BIN_OPS.get(type(node.op))
-            if op is None:
-                _fail(f"operator {type(node.op).__name__} is outside PyLite", node)
-            a = self._expr(node.left)
-            b = self._expr(node.right)
-            dst = self._temp()
-            self._emit(tac.BIN, dst=dst, a=a, b=b, extra=op)
-            return dst
-        if isinstance(node, ast.UnaryOp):
-            if isinstance(node.op, ast.USub):
-                a = self._expr(node.operand)
-                dst = self._temp()
-                self._emit(tac.UN, dst=dst, a=a, extra="neg")
-                return dst
-            if isinstance(node.op, ast.Not):
-                a = self._expr(node.operand)
-                dst = self._temp()
-                self._emit(tac.UN, dst=dst, a=a, extra="not")
-                return dst
+        lower = _EXPR.get(type(node))
+        if lower is None:
+            _fail(f"{type(node).__name__} expressions are outside PyLite", node)
+        return lower(self, node)
+
+    def _binop(self, node: ast.BinOp) -> int:
+        if isinstance(node.op, ast.Div):
+            _fail("true division '/' is outside PyLite; use '//'", node)
+        op = _BIN_OPS.get(type(node.op))
+        if op is None:
+            _fail(f"operator {type(node.op).__name__} is outside PyLite", node)
+        a = self._expr(node.left)
+        b = self._expr(node.right)
+        dst = self._temp()
+        self._emit(tac.BIN, dst, a, b, op)
+        return dst
+
+    def _unaryop(self, node: ast.UnaryOp) -> int:
+        op = _UN_OPS.get(type(node.op))
+        if op is None:
             _fail(f"unary {type(node.op).__name__} is outside PyLite", node)
-        if isinstance(node, ast.BoolOp):
-            return self._boolop(node)
-        if isinstance(node, ast.Compare):
-            return self._compare(node)
-        if isinstance(node, ast.Call):
-            return self._call(node)
-        if isinstance(node, ast.Subscript):
-            obj = self._expr(node.value)
-            idx = self._expr(node.slice)
-            dst = self._temp()
-            self._emit(tac.INDEX, dst=dst, a=obj, b=idx)
-            return dst
-        if isinstance(node, ast.List):
-            elems = [self._expr(elt) for elt in node.elts]
-            dst = self._temp()
-            self._emit(tac.LIST, dst=dst, args=elems)
-            return dst
-        if isinstance(node, ast.Dict):
-            args: List[int] = []
-            for key, value in zip(node.keys, node.values):
-                if key is None:
-                    _fail("dict unpacking is outside PyLite", node)
-                args.append(self._expr(key))
-                args.append(self._expr(value))
-            dst = self._temp()
-            self._emit(tac.DICT, dst=dst, args=args)
-            return dst
-        _fail(f"{type(node).__name__} expressions are outside PyLite", node)
+        a = self._expr(node.operand)
+        dst = self._temp()
+        self._emit(tac.UN, dst, a, None, op)
+        return dst
+
+    def _subscript(self, node: ast.Subscript) -> int:
+        obj = self._expr(node.value)
+        idx = self._expr(node.slice)
+        dst = self._temp()
+        self._emit(tac.INDEX, dst, obj, idx)
+        return dst
+
+    def _list(self, node: ast.List) -> int:
+        elems = [self._expr(elt) for elt in node.elts]
+        dst = self._temp()
+        self._emit(tac.LIST, dst, args=elems)
+        return dst
+
+    def _dict(self, node: ast.Dict) -> int:
+        args: List[int] = []
+        for key, value in zip(node.keys, node.values):
+            if key is None:
+                _fail("dict unpacking is outside PyLite", node)
+            args.append(self._expr(key))
+            args.append(self._expr(value))
+        dst = self._temp()
+        self._emit(tac.DICT, dst, args=args)
+        return dst
 
     def _constant(self, node: ast.Constant) -> int:
         value = node.value
@@ -384,64 +388,42 @@ class _Lowerer:
                 instr.extra = targets[instr.extra]
 
     def _stmt(self, node: ast.stmt) -> None:
-        if isinstance(node, ast.Expr):
-            if isinstance(node.value, ast.Constant):
-                return  # docstrings / bare literals compile to nothing
-            self._mark(node, "expr")
-            self._expr(node.value)
-            return
-        if isinstance(node, ast.Assign):
-            self._assign(node)
-            return
-        if isinstance(node, ast.AugAssign):
-            self._aug_assign(node)
-            return
-        if isinstance(node, ast.If):
-            self._if(node)
-            return
-        if isinstance(node, ast.While):
-            self._while(node)
-            return
-        if isinstance(node, ast.For):
-            self._for(node)
-            return
-        if isinstance(node, ast.Return):
-            if self.is_main:
-                _fail("'return' outside function", node)
-            self._mark(node, "return")
-            value = self._expr(node.value) if node.value is not None else None
-            if value is None:
-                value = self._temp()
-                self._emit(tac.NONE, dst=value)
-            self._emit(tac.RET, a=value)
-            self._bound = None
-            return
-        if isinstance(node, ast.Assert):
-            self._assert(node)
-            return
-        if isinstance(node, ast.Raise):
-            self._raise(node)
-            return
-        if isinstance(node, ast.Break):
-            if not self._loops:
-                _fail("'break' outside loop", node)
-            self._mark(node, "break")
-            self._emit(tac.JMP, extra=self._loops[-1][1])
-            self._bound = None
-            return
-        if isinstance(node, ast.Continue):
-            if not self._loops:
-                _fail("'continue' outside loop", node)
-            self._mark(node, "continue")
-            self._emit(tac.JMP, extra=self._loops[-1][0])
-            self._bound = None
-            return
-        if isinstance(node, ast.Pass):
-            self._mark(node, "pass")
-            return
-        if isinstance(node, ast.FunctionDef):
-            _fail("nested function definitions are outside PyLite", node)
-        _fail(f"{type(node).__name__} statements are outside PyLite", node)
+        lower = _STMT.get(type(node))
+        if lower is None:
+            _fail(f"{type(node).__name__} statements are outside PyLite", node)
+        lower(self, node)
+
+    def _expr_stmt(self, node: ast.Expr) -> None:
+        if isinstance(node.value, ast.Constant):
+            return  # docstrings / bare literals compile to nothing
+        self._mark(node, "expr")
+        self._expr(node.value)
+
+    def _return(self, node: ast.Return) -> None:
+        if self.is_main:
+            _fail("'return' outside function", node)
+        self._mark(node, "return")
+        value = self._expr(node.value) if node.value is not None else None
+        if value is None:
+            value = self._temp()
+            self._emit(tac.NONE, value)
+        self._emit(tac.RET, a=value)
+        self._bound = None
+
+    def _loop_exit(self, node: ast.stmt) -> None:
+        kind = "break" if isinstance(node, ast.Break) else "continue"
+        if not self._loops:
+            _fail(f"'{kind}' outside loop", node)
+        self._mark(node, kind)
+        # _loops holds (continue target, break target) pairs.
+        self._emit(tac.JMP, extra=self._loops[-1][kind == "break"])
+        self._bound = None
+
+    def _pass(self, node: ast.Pass) -> None:
+        self._mark(node, "pass")
+
+    def _nested_def(self, node: ast.FunctionDef) -> None:
+        _fail("nested function definitions are outside PyLite", node)
 
     def _body(self, stmts: List[ast.stmt], bound: Optional[Set[str]]) -> None:
         """Lower ``stmts`` from a copy of ``bound``; leaves what they bind.
@@ -634,6 +616,25 @@ class _Lowerer:
         self._mark(node, "raise")
         self._emit(tac.RAISE, extra=name)
         self._bound = None
+
+
+#: node type -> the _Lowerer method that lowers it.
+_EXPR = {
+    ast.Constant: _Lowerer._constant, ast.Name: _Lowerer._load_name,
+    ast.BinOp: _Lowerer._binop, ast.UnaryOp: _Lowerer._unaryop,
+    ast.BoolOp: _Lowerer._boolop, ast.Compare: _Lowerer._compare,
+    ast.Call: _Lowerer._call, ast.Subscript: _Lowerer._subscript,
+    ast.List: _Lowerer._list, ast.Dict: _Lowerer._dict,
+}
+_STMT = {
+    ast.Expr: _Lowerer._expr_stmt, ast.Assign: _Lowerer._assign,
+    ast.AugAssign: _Lowerer._aug_assign, ast.If: _Lowerer._if,
+    ast.While: _Lowerer._while, ast.For: _Lowerer._for,
+    ast.Return: _Lowerer._return, ast.Assert: _Lowerer._assert,
+    ast.Raise: _Lowerer._raise, ast.Break: _Lowerer._loop_exit,
+    ast.Continue: _Lowerer._loop_exit, ast.Pass: _Lowerer._pass,
+    ast.FunctionDef: _Lowerer._nested_def,
+}
 
 
 def lower_module(source: str) -> TacModule:

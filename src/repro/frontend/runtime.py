@@ -47,7 +47,7 @@ objects (see :func:`build_runtime`).
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.lowlevel import api
 from repro.lowlevel.program import Function, FunctionBuilder, Opcode
@@ -907,23 +907,23 @@ def _rt_make_symbolic() -> Function:
     return f.finish()
 
 
-_RUNTIME: Optional[Tuple[Function, ...]] = None
+_RUNTIME: Optional[Dict[str, Function]] = None
 _RUNTIME_LOCK = threading.Lock()
 
 
-def build_runtime() -> Tuple[Function, ...]:
-    """Every runtime function, built on first use and then shared.
+def build_runtime() -> Dict[str, Function]:
+    """Every runtime function by name, built on first use and then shared.
 
-    Each call returns the same ``Function`` objects, which no program
-    changes, so the executor decodes their blocks once per process.  The
-    lock makes concurrent first callers (daemon sessions on their pump
-    threads) agree on one build.
+    Each call returns the same map of the same ``Function`` objects,
+    which no program changes, so the executor decodes their blocks once
+    per process.  The lock makes concurrent first callers (daemon
+    sessions on their pump threads) agree on one build.
     """
     global _RUNTIME
     if _RUNTIME is None:
         with _RUNTIME_LOCK:
             if _RUNTIME is None:
-                _RUNTIME = _build()
+                _RUNTIME = {fn.name: fn for fn in _build()}
     return _RUNTIME
 
 

@@ -78,7 +78,7 @@ EXC_IDS: Dict[str, int] = {
 EXC_NAMES: Dict[int, str] = {v: k for k, v in EXC_IDS.items()}
 
 
-@dataclass
+@dataclass(slots=True)
 class TacInstr:
     """One TAC instruction; operand meaning depends on ``op``."""
 

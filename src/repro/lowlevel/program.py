@@ -223,6 +223,12 @@ class FunctionBuilder:
         self._next_reg += 1
         return reg
 
+    def new_regs(self, n: int) -> int:
+        """Reserve ``n`` consecutive registers; returns the first."""
+        reg = self._next_reg
+        self._next_reg += n
+        return reg
+
     def new_label(self) -> int:
         label = self._next_label
         self._next_label += 1
@@ -235,13 +241,19 @@ class FunctionBuilder:
         self._labels[label] = len(self.instrs)
 
     def emit(self, op: int, dst=None, a=None, b=None, extra=None, args=None) -> int:
-        self.instrs.append(Instr(op, dst=dst, a=a, b=b, extra=extra, args=args))
+        instrs = self.instrs
+        instrs.append(Instr(op, dst, a, b, extra, args))
         self.lines.append(self._current_line)
-        return len(self.instrs) - 1
+        return len(instrs) - 1
+
+    def extend(self, instrs: Sequence[Instr]) -> None:
+        """Append ``instrs``, all on the current line."""
+        self.instrs += instrs
+        self.lines += [self._current_line] * len(instrs)
 
     def const(self, value: int) -> int:
         dst = self.new_reg()
-        self.emit(Opcode.CONST, dst=dst, a=value)
+        self.emit(Opcode.CONST, dst, value)
         return dst
 
     def finish(self) -> Function:
@@ -258,10 +270,12 @@ class FunctionBuilder:
                 return resolved[value[1]]
             return value
 
+        jmp, br = Opcode.JMP, Opcode.BR
         for instr in self.instrs:
-            if instr.op == Opcode.JMP:
+            op = instr.op
+            if op == jmp:
                 instr.a = patch(instr.a)
-            elif instr.op == Opcode.BR:
+            elif op == br:
                 instr.b = patch(instr.b)
                 instr.extra = patch(instr.extra)
         func = Function(

@@ -363,6 +363,9 @@ class CspSolver(SolverBackend):
         #: hook that can stall or fail queries; None costs one check.
         self._faults = faults
         self._deadline_at: Optional[float] = None
+        #: a query has given up: later ones are only counted, and the
+        #: run's end logs their total (a deadline storm is one line).
+        self._gave_up = False
 
     # -- SolverBackend protocol ---------------------------------------------
 
@@ -417,10 +420,14 @@ class CspSolver(SolverBackend):
             else:
                 self.stats.timeouts += 1
             # The engine drops the state: this is the only trace of why.
-            _log.warning(
-                "solver query over %d atoms gave up (budget %d steps, deadline %ss): %s",
-                len(cs), self.budget if budget is None else budget, self.deadline_s, exc,
-            )
+            if not self._gave_up:
+                self._gave_up = True
+                _log.warning(
+                    "solver query over %d atoms gave up (budget %d steps, deadline "
+                    "%ss): %s; later give-ups are only counted",
+                    len(cs), self.budget if budget is None else budget,
+                    self.deadline_s, exc,
+                )
             raise
 
     def satisfiable(

@@ -8,6 +8,8 @@ its seed assignment and keeps exploring (optimistic).
 
 from __future__ import annotations
 
+import logging
+
 from repro.api.events import RunFinished
 from repro.api.session import SymbolicSession
 from repro.bench.workloads import branchy_source
@@ -19,8 +21,8 @@ _DEPTH = 3
 _PATHS = 2 ** _DEPTH
 
 
-def _run(fault_plan, *, workers=1, **overrides):
-    program = compile_program(branchy_source(_DEPTH)).program
+def _run(fault_plan, *, workers=1, depth=_DEPTH, **overrides):
+    program = compile_program(branchy_source(depth)).program
     config = ChefConfig(
         time_budget=60.0, workers=workers, fault_plan=fault_plan, **overrides
     )
@@ -58,6 +60,37 @@ class TestDeadlineDegradation:
         session, _events = _run(None)
         assert session.metrics().get("solver.deadline_unknowns", 0) == 0
         assert session.result.ll_paths == _PATHS
+
+
+class TestDeadlineStormLogging:
+    def test_a_storm_logs_one_query_and_one_summary(self, caplog):
+        """Every unknown is counted; only the first and the total are logged."""
+        caplog.set_level(logging.WARNING, logger="repro.solver")
+        session, events = _run(
+            FaultPlan(wedge_from_query=2, wedge_seconds=0.05),
+            depth=5,
+            solver_deadline_s=0.01,
+        )
+        assert isinstance(events[-1], RunFinished)
+        metrics = session.metrics()
+        unknowns = metrics.get("solver.deadline_unknowns", 0)
+        assert unknowns >= 3
+        assert session.result.engine_stats.get("states_timeout", 0) == unknowns
+        messages = [r.getMessage() for r in caplog.records if r.name == "repro.solver"]
+        assert len(messages) == 2, messages
+        first, summary = messages
+        assert first.startswith("solver query over ")
+        assert "solver deadline (0.01s) exceeded" in first
+        given_up = unknowns + metrics.get("solver.timeouts", 0)
+        assert summary == (f"{given_up} solver queries gave up in this run "
+                           "(budget 12000 steps, deadline 0.01s)")
+
+    def test_a_single_give_up_logs_no_summary(self, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.solver")
+        session, _events = _run(FaultPlan(fail_query_every=1), depth=1)
+        assert session.metrics().get("solver.timeouts", 0) == 1
+        messages = [r.getMessage() for r in caplog.records if r.name == "repro.solver"]
+        assert len(messages) == 1 and messages[0].startswith("solver query over ")
 
 
 class TestInjectedSolverFailures:

@@ -116,11 +116,11 @@ def test_runtime_instruction_ids_keep_their_layout():
 
 
 def test_sessions_leave_the_runtime_code_unchanged():
-    before = [fn.disassemble() for fn in build_runtime()]
+    before = [fn.disassemble() for fn in build_runtime().values()]
     _paths(compile_pylite(TURNSTILE).build_program())
     _paths(compile_pylite(RLE).build_program())
-    assert [fn.disassemble() for fn in build_runtime()] == before
-    assert any(fn.blocks for fn in build_runtime())
+    assert [fn.disassemble() for fn in build_runtime().values()] == before
+    assert any(fn.blocks for fn in build_runtime().values())
 
 
 def test_a_used_program_pickles_like_a_fresh_build():

@@ -265,59 +265,6 @@ def _explore(engine: LowLevelEngine, run, budget: int, max_states: int = 12):
     return prints
 
 
-_SETTINGS = settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
-
-
-@_SETTINGS
-@given(programs())
-def test_exploration_matches_the_stepper(program):
-    blocked = _engine(program)
-    stepped = _engine(program)
-    assert _explore(blocked, blocked.run_path, _CAP) == _explore(
-        stepped, lambda s, b: _stepped_run(stepped, s, b), _CAP
-    )
-
-
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(programs())
-def test_every_budget_lands_exactly(program):
-    # The path length comes from a third engine: the two under test must
-    # issue the same solver queries in the same order, because a solver
-    # reuses its recent models and so answers by its query history.
-    measure = _engine(program)
-    full = measure.new_state()
-    _stepped_run(measure, full, _CAP)
-    length = full.instr_count
-    blocked = _engine(program)
-    stepped = _engine(program)
-    for budget in range(length + 1):
-        state = blocked.new_state()
-        pending = blocked.run_path(state, max_instrs=budget)
-        reference = stepped.new_state()
-        reference_pending = _stepped_run(stepped, reference, budget)
-        assert _fingerprint(state, pending) == _fingerprint(reference, reference_pending)
-        if budget < length:
-            assert state.status == Status.BUDGET_EXCEEDED
-            assert state.instr_count == budget
-
-
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(programs(), st.integers(4096 - 40, 4096))
-def test_deadline_polls_land_exactly(program, start_count):
-    # A deadline in the past stops the path at its next 4096-instruction
-    # poll, so it must land on the same instruction as the stepper's.
-    blocked = _engine(program, deadline=0.0)
-    stepped = _engine(program, deadline=0.0)
-    state = blocked.new_state()
-    reference = stepped.new_state()
-    state.instr_count = reference.instr_count = start_count
-    pending = blocked.run_path(state, max_instrs=4096 + _CAP)
-    reference_pending = _stepped_run(stepped, reference, 4096 + _CAP)
-    assert _fingerprint(state, pending) == _fingerprint(reference, reference_pending)
-
-
 #: per fused shape, a main body (after the prologue) that decodes to it;
 #: ``{a}`` is the operand register: 3 holds a concrete 0, 2 the
 #: symbolic byte and 0 the buffer's address.
@@ -406,6 +353,59 @@ def test_engine_counters_split_block_and_stepped_instructions():
     stats = engine.stats.as_dict()
     assert stats["instrs_executed"] == 6
     assert stats["instrs_stepped"] == 1
+
+
+_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@_SETTINGS
+@given(programs())
+def test_exploration_matches_the_stepper(program):
+    blocked = _engine(program)
+    stepped = _engine(program)
+    assert _explore(blocked, blocked.run_path, _CAP) == _explore(
+        stepped, lambda s, b: _stepped_run(stepped, s, b), _CAP
+    )
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(programs())
+def test_every_budget_lands_exactly(program):
+    # The path length comes from a third engine: the two under test must
+    # issue the same solver queries in the same order, because a solver
+    # reuses its recent models and so answers by its query history.
+    measure = _engine(program)
+    full = measure.new_state()
+    _stepped_run(measure, full, _CAP)
+    length = full.instr_count
+    blocked = _engine(program)
+    stepped = _engine(program)
+    for budget in range(length + 1):
+        state = blocked.new_state()
+        pending = blocked.run_path(state, max_instrs=budget)
+        reference = stepped.new_state()
+        reference_pending = _stepped_run(stepped, reference, budget)
+        assert _fingerprint(state, pending) == _fingerprint(reference, reference_pending)
+        if budget < length:
+            assert state.status == Status.BUDGET_EXCEEDED
+            assert state.instr_count == budget
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(programs(), st.integers(4096 - 40, 4096))
+def test_deadline_polls_land_exactly(program, start_count):
+    # A deadline in the past stops the path at its next 4096-instruction
+    # poll, so it must land on the same instruction as the stepper's.
+    blocked = _engine(program, deadline=0.0)
+    stepped = _engine(program, deadline=0.0)
+    state = blocked.new_state()
+    reference = stepped.new_state()
+    state.instr_count = reference.instr_count = start_count
+    pending = blocked.run_path(state, max_instrs=4096 + _CAP)
+    reference_pending = _stepped_run(stepped, reference, 4096 + _CAP)
+    assert _fingerprint(state, pending) == _fingerprint(reference, reference_pending)
 
 
 def test_shared_function_resolves_callees_in_each_program():

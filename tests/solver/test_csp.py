@@ -159,16 +159,16 @@ class TestBudget:
 
 
     def test_budget_out_logs_one_warning(self, caplog):
-        # A dropped state is otherwise silent: each budget-out is one
-        # warning naming the budget and the query size.
+        # A dropped state is otherwise silent: a solver's first budget-out
+        # is one warning naming the budget and the query size.  Later ones
+        # are only counted; Chef logs their total when the run ends.
         (x,) = _vars("cs_x", 1)
         solver = CspSolver(faults=FaultInjector(FaultPlan(fail_query_every=3)))
         with caplog.at_level(logging.WARNING, logger="repro.solver"):
             statuses = [solver.check([mk_binop("eq", x, v)]).status for v in range(6)]
         assert statuses.count(UNKNOWN) == 2 == solver.stats.timeouts
-        messages = [r.getMessage() for r in caplog.records if r.name == "repro.solver"]
-        assert len(messages) == 2
-        assert all("over 1 atoms" in m and "budget 12000 steps" in m for m in messages)
+        (message,) = [r.getMessage() for r in caplog.records if r.name == "repro.solver"]
+        assert "over 1 atoms" in message and "budget 12000 steps" in message
 
     def test_deadline_logs_one_warning(self, caplog):
         (x,) = _vars("cs_y", 1)

@@ -10,6 +10,9 @@ of a word-valued runtime compare and a ``BR`` on the word.  A subscript
 whose key is a string literal calls ``rt_dget``/``rt_dset`` with a hint
 cell of its own in the static pool, and a ``GLOAD`` that lowering marked
 bound reads its global cell with no ``NameError`` check.
+Lowering stamps every TAC instruction with the line of the last ``LINE``
+marker before it, and blocks are emitted in instruction order, so the
+builder's current line changes only at ``LINE`` markers.
 The module body compiles to the ``main`` entry (with a ``start_symbolic``
 prologue); user functions get a ``py_`` prefix so they can never collide
 with runtime routines.
@@ -187,7 +190,6 @@ class _FunctionEmitter:
                     self._compare_and_branch(instr, instrs[index + 1])
                     index += 2
                 else:
-                    b.set_line(instr.line)
                     _EMITTERS[instr.op](self, instr)
                     index += 1
         return b.finish()
@@ -269,6 +271,7 @@ class _FunctionEmitter:
     def _line(self, instr: tac.TacInstr) -> None:
         """Store the line at ``LINE_ADDR`` and ``log_pc(line, kind)``."""
         b = self.builder
+        b.set_line(instr.line)
         line_reg = b.new_regs(4)
         kind_reg, addr = line_reg + 1, line_reg + 2
         b.extend((
@@ -298,7 +301,6 @@ class _FunctionEmitter:
         on_true, on_false = self.targets[jump.b], self.targets[jump.extra]
         if cmp.extra == "ne":
             on_true, on_false = on_false, on_true
-        b.set_line(jump.line)
         b.emit(Opcode.BR, None, cmp.dst, on_true, on_false)
 
     def _list(self, instr: tac.TacInstr) -> None:

@@ -48,10 +48,6 @@ OPCODES = (
     BUILTIN, GLOAD, GSTORE, JMP, CJMP, RET, LINE, CHK, RAISE,
 )
 
-#: ops that unconditionally transfer control (end a basic block with no
-#: fall-through successor).
-TERMINATORS = (JMP, RET, RAISE)
-
 #: statement kinds carried by LINE (the ``opcode`` operand of ``log_pc``).
 STMT_KINDS = {
     "assign": 1, "if": 2, "while": 3, "for": 4, "expr": 5, "return": 6,
@@ -178,5 +174,5 @@ __all__ = [
     "BIN", "BUILTIN", "CALL", "CHK", "CJMP", "CONST", "DICT", "EXC_IDS",
     "EXC_NAMES", "GLOAD", "GSTORE", "INDEX", "JMP", "LINE", "LIST", "MOVE",
     "NONE", "OPCODES", "RAISE", "RET", "SETINDEX", "STMT_KINDS", "STR",
-    "TERMINATORS", "TacFunction", "TacInstr", "TacModule", "UN",
+    "TacFunction", "TacInstr", "TacModule", "UN",
 ]

@@ -26,6 +26,7 @@ ends — ``write_chrome_trace`` shows tenants as swimlanes.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import json
 import os
@@ -177,9 +178,10 @@ class ChefService:
         started = time.monotonic()
         terminal: Optional[Dict[str, Any]] = None
         try:
+            # Closing the stream returns once the pump thread has exited,
+            # so the session's telemetry is final when it is folded below.
             with self.telemetry.span("service.session", sid=sid):
-                stream = session.aevents()
-                try:
+                async with contextlib.aclosing(session.aevents()) as stream:
                     async for event in stream:
                         wire = protocol.event_to_wire(event)
                         if wire.get("event") == "RunFinished":
@@ -190,13 +192,11 @@ class ChefService:
                             break
                         await self._send(writer, wire)
                         events_counter.inc()
-                finally:
-                    await stream.aclose()
             if terminal is not None:
                 self.registry.counter("service.sessions.finished").inc()
         except (ConnectionResetError, BrokenPipeError):
-            # Client hung up mid-stream: aevents' finally already closed
-            # the underlying stream.
+            # Client hung up mid-stream: closing the stream unwound the
+            # Chef loop and stopped the pump thread.
             self.registry.counter("service.sessions.abandoned").inc()
         except Exception as exc:
             self.registry.counter("service.sessions.failed").inc()

@@ -1,5 +1,8 @@
 """SymbolicSession facade + event-stream tests (clay-free: pure-LVM guests)."""
 
+import asyncio
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -12,11 +15,13 @@ from repro.api import (
     Session,
     SymbolicSession,
     TestCaseFound,
+    get_language,
 )
 from repro.bench.workloads import traced_source
 from repro.chef.options import ChefConfig
 from repro.clay import compile_program
 from repro.errors import ReproError
+from repro.targets import pylite_packages as PL
 
 
 def _program(n=3):
@@ -171,3 +176,187 @@ class TestEventStreamDeterminism:
         assert serial.ll_paths == parallel.ll_paths == 16
         assert serial.hl_paths == parallel.hl_paths
 
+
+def _turnstile(seed_string="cpcp"):
+    (_kind, name, _default), = PL.TURNSTILE_TEST["inputs"]
+    declaration = get_language("pylite").declare_string(name, seed_string)
+    return f"{PL.TURNSTILE_SOURCE}\n{declaration}\n{PL.TURNSTILE_TEST['body']}\n"
+
+
+def _sequence(events):
+    """(event type, test case id) of every event, in stream order."""
+    return [
+        (type(e).__name__,
+         e.case.test_id if isinstance(e, (PathCompleted, TestCaseFound)) else None)
+        for e in events
+    ]
+
+
+async def _drain(session, **kwargs):
+    return [event async for event in session.aevents(**kwargs)]
+
+
+def _pump_threads():
+    return {t for t in threading.enumerate() if t.name == "session-events"}
+
+
+class TestAsyncEvents:
+    """``aevents()`` streams exactly what ``events()`` yields, through a
+    pump thread that blocks only on the events a client waits for."""
+
+    def test_sequence_matches_events(self):
+        config = _config(seed=1)
+        expected = _sequence(Session("pylite", _turnstile(), config).events())
+        session = Session("pylite", _turnstile(), config)
+        streamed = _sequence(asyncio.run(_drain(session)))
+        assert streamed == expected
+        assert sum(name == "TestCaseFound" for name, _ in streamed) > 1
+
+    def test_only_awaited_events_block_the_pump(self, monkeypatch):
+        blocking = []
+        handoff = asyncio.run_coroutine_threadsafe
+
+        def counting(coro, loop):
+            blocking.append(coro)
+            return handoff(coro, loop)
+
+        monkeypatch.setattr(asyncio, "run_coroutine_threadsafe", counting)
+        events = asyncio.run(_drain(Session.from_program(_program(4), _config())))
+        found = sum(isinstance(e, TestCaseFound) for e in events)
+        terminal = sum(isinstance(e, RunFinished) for e in events)
+        assert terminal == 1
+        assert len(blocking) <= found + terminal < len(events)
+
+    def test_concurrent_streams_keep_order_under_frequent_switching(self):
+        # Four pumps on a 1-slot buffer, switching threads every 10 us:
+        # a lost or reordered hand-off changes some stream's sequence.
+        expected = _sequence(Session.from_program(_program(4), _config()).events())
+
+        async def all_streams():
+            sessions = [Session.from_program(_program(4), _config()) for _ in range(4)]
+            return await asyncio.wait_for(
+                asyncio.gather(*(_drain(s, max_buffer=1) for s in sessions)), 120.0
+            )
+
+        before = _pump_threads()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            streams = asyncio.run(all_streams())
+        finally:
+            sys.setswitchinterval(interval)
+        assert [_sequence(events) for events in streams] == [expected] * 4
+        assert _pump_threads() - before == set()
+
+    def test_normal_close_joins_the_pump_without_sleeping(self, monkeypatch):
+        sleeps = []
+        real_sleep = asyncio.sleep
+
+        async def counting_sleep(*args, **kwargs):
+            sleeps.append(args)
+            return await real_sleep(*args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "sleep", counting_sleep)
+        before = _pump_threads()
+
+        async def until_finished(session):
+            stream = session.aevents()
+            async for event in stream:
+                if isinstance(event, RunFinished):
+                    break
+            await stream.aclose()
+            return _pump_threads() - before
+
+        session = Session.from_program(_program(), _config())
+        assert asyncio.run(until_finished(session)) == set()
+        asyncio.run(_drain(Session.from_program(_program(), _config())))
+        assert _pump_threads() - before == set()
+        assert sleeps == []
+
+    def test_stalled_consumer_bounds_outstanding_events(self):
+        session = Session.from_program(_program(4), _config())
+        pulled = []
+        inner = session._stream
+
+        def counting_stream():
+            for event in inner():
+                pulled.append(event)
+                yield event
+
+        session._stream = counting_stream
+        before = _pump_threads()
+
+        async def stall():
+            stream = session.aevents(max_buffer=2)
+            async for _event in stream:
+                break  # take one event, then stop reading
+            # Let the pump fill the buffer, then give it room to overrun.
+            for _ in range(500):
+                if len(pulled) >= 3:
+                    break
+                await asyncio.sleep(0.01)
+            for _ in range(10):
+                await asyncio.sleep(0.01)
+            outstanding = len(pulled) - 1
+            await stream.aclose()
+            return outstanding
+
+        assert asyncio.run(stall()) == 2
+        assert _pump_threads() - before == set()
+        assert session.result is None  # abandoned mid-run
+
+    def test_cancelling_a_waiting_consumer_stops_the_pump(self):
+        session = Session.from_program(_program(4), _config())
+        release = threading.Event()
+        inner = session._stream
+
+        def gated_stream():
+            stream = inner()
+            yield next(stream)
+            assert release.wait(timeout=60.0)  # hold the second event back
+            yield from stream
+
+        session._stream = gated_stream
+        before = _pump_threads()
+
+        async def cancel_while_waiting():
+            first = asyncio.Event()
+
+            async def consume():
+                async for _event in session.aevents():
+                    first.set()
+
+            task = asyncio.get_running_loop().create_task(consume())
+            await first.wait()
+            task.cancel()
+            await asyncio.sleep(0)
+            release.set()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        asyncio.run(cancel_while_waiting())
+        assert _pump_threads() - before == set()
+        with pytest.raises(ReproError, match="raised"):
+            session.run()
+
+    def test_empty_buffer_is_rejected_before_claiming_the_stream(self):
+        session = Session.from_program(_program(2), _config())
+        with pytest.raises(ValueError, match="max_buffer"):
+            asyncio.run(_drain(session, max_buffer=0))
+        assert not session.started
+
+    def test_exploration_error_reraises_at_the_async_for(self):
+        session = Session.from_program(_program(2), _config())
+
+        class Boom(RuntimeError):
+            pass
+
+        def exploding_stream():
+            raise Boom()
+            yield  # pragma: no cover
+
+        session._chef_instance().stream = exploding_stream
+        before = _pump_threads()
+        with pytest.raises(Boom):
+            asyncio.run(_drain(session))
+        assert _pump_threads() - before == set()

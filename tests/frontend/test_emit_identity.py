@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.api import get_language
-from repro.frontend import compile_pylite
+from repro.frontend import compile_pylite, tac
 from repro.targets import pylite_packages as PL
 from tests.frontend import test_golden
 
@@ -68,3 +68,15 @@ def test_emitted_programs_are_byte_identical():
         digest.update(_fingerprint(source).encode())
         digest.update(b"\0")
     assert digest.hexdigest() == DIGEST
+
+
+def test_every_instruction_carries_the_line_of_its_last_line_marker():
+    # Emission sets the builder's line only at LINE markers; that is
+    # exact only while lowering keeps this invariant.
+    for source in _programs():
+        for fn in compile_pylite(source).module.functions.values():
+            line = 0
+            for instr in fn.instrs:
+                if instr.op == tac.LINE:
+                    line = instr.a
+                assert instr.line == line, (fn.name, instr)

@@ -11,13 +11,16 @@ assertions):
 - a checkpoint written at ``workers=2`` resumes serially in the daemon;
 - the daemon clears the process-global symbolic tables when it goes
   idle;
-- budgets are clamped server-side and surface as ``BudgetExhausted``.
+- budgets are clamped server-side and surface as ``BudgetExhausted``;
+- a client that hangs up mid-stream abandons its session, which stops
+  the session's pump thread.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import threading
+import time
 
 import pytest
 
@@ -111,6 +114,24 @@ class TestConcurrentSessions:
             assert result["ll_paths"] == 16
         assert multiprocessing.active_children() == []
         assert pool_module._SHARED_POOLS == {}
+
+
+class TestHangup:
+    def test_client_hangup_mid_stream_abandons_the_session(self, daemon_factory):
+        _service, client = daemon_factory()
+        stream = client.run_events(clay=branchy_source(9))  # 512 paths
+        assert "event" in next(stream)
+        stream.close()  # closes the socket after one event line
+        deadline = time.monotonic() + 60.0
+        while True:
+            metrics = client.stats()["metrics"]
+            if (metrics.get("service.sessions.abandoned") == 1
+                    and metrics["service.sessions.active"] == 0):
+                break
+            assert time.monotonic() < deadline, metrics
+            time.sleep(0.02)
+        assert metrics.get("service.sessions.finished", 0) == 0
+        assert not [t for t in threading.enumerate() if t.name == "session-events"]
 
 
 class TestWarmRun:

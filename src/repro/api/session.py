@@ -22,17 +22,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterator, Optional
 
-from repro.api.events import RunFinished, SessionEvent, TestCaseFound
+from repro.api.events import RunFinished, SessionEvent
 from repro.api.language import GuestLanguage, get_language
 from repro.chef.engine import Chef, RunResult
 from repro.chef.options import ChefConfig
 from repro.chef.testcase import TestCase
 from repro.errors import ReproError
 from repro.solver.backend import SolverBackend
-
-#: events a client waits on: the pump hands these over synchronously.
-_AWAITED = (TestCaseFound, RunFinished)
-
 
 class SymbolicSession:
     """One symbolic exploration of one guest program.
@@ -246,91 +242,33 @@ class SymbolicSession:
         assert self._result is not None
         return self._result
 
-    async def aevents(self, max_buffer: int = 256):
+    async def aevents(self):
         """Async twin of :meth:`events` for event-loop consumers.
 
-        The blocking Chef loop runs in a pump thread (this is how the
-        service daemon runs every session).  The pump takes one of
-        ``max_buffer`` buffer slots before it computes each event, and
-        the consumer frees the slot when it takes the event, so at most
-        ``max_buffer`` events are outstanding and a slow consumer stalls
-        exploration instead of buffering it unboundedly.  Progress
-        events are handed over without waiting.  The pump waits for the
-        loop to take an event only where a client waits on it — each
-        :class:`TestCaseFound`, the terminal :class:`RunFinished` and a
-        raised error — so those reach the consumer at once.  Exceptions
-        from the exploration re-raise at the ``async for`` site;
-        abandoning the iterator (``aclose``, task cancellation) stops
-        the pump and closes the underlying stream exactly as in
-        :meth:`events`.  Either way the iterator finishes once the pump
-        thread has exited, which the pump signals through a loop future.
+        Exploration runs on the caller's event-loop thread, one event
+        at a time: after each event the stream yields to the loop
+        (``await asyncio.sleep(0)``), so concurrent sessions take turns
+        path by path and other tasks (a ``ping``, a socket write) run
+        in between.  The loop is blocked while one event is computed —
+        one path and its activation, bounded by ``path_instr_budget``
+        and the solver budget or deadline.  A consumer that stops
+        reading stops exploration: no event is computed ahead.
+        Exceptions from the exploration re-raise at the ``async for``
+        site; abandoning the iterator (``aclose``, task cancellation)
+        closes the underlying stream exactly as in :meth:`events`.  A
+        caller who wants exploration off the loop thread can step
+        :meth:`events` through :func:`asyncio.to_thread` instead
+        (``await asyncio.to_thread(next, stream, None)``).
         """
         import asyncio
-        import threading
-        from concurrent.futures import CancelledError
 
-        if max_buffer < 1:
-            raise ValueError(f"max_buffer must be at least 1, got {max_buffer}")
-        gen = self.events()  # claim now so double-claim raises here, not later
-        loop = asyncio.get_running_loop()
-        queue: "asyncio.Queue" = asyncio.Queue()
-        slots = threading.Semaphore(max_buffer)
-        stop = threading.Event()
-        exited = loop.create_future()
-        done = object()
-
-        def hand_over(item, wait: bool) -> bool:
-            """Queue ``item`` on the loop; with ``wait``, return only once
-            it is queued.  False once the loop is closed or shutting down."""
-            try:
-                if wait:
-                    asyncio.run_coroutine_threadsafe(queue.put(item), loop).result()
-                else:
-                    loop.call_soon_threadsafe(queue.put_nowait, item)
-                return True
-            except (RuntimeError, CancelledError):
-                return False
-
-        def resolve_exited() -> None:
-            if not exited.done():
-                exited.set_result(None)
-
-        def pump() -> None:
-            try:
-                while slots.acquire() and not stop.is_set():
-                    try:
-                        event = next(gen)
-                    except StopIteration:
-                        hand_over(done, False)
-                        return
-                    except BaseException as exc:
-                        hand_over(exc, True)
-                        return
-                    if not hand_over(event, isinstance(event, _AWAITED)):
-                        return
-            finally:
-                gen.close()
-                try:
-                    loop.call_soon_threadsafe(resolve_exited)
-                except RuntimeError:  # loop already closed
-                    pass
-
-        thread = threading.Thread(target=pump, name="session-events", daemon=True)
-        thread.start()
+        gen = self.events()  # a second claim raises here, before any exploration
         try:
-            while True:
-                item = await queue.get()
-                slots.release()
-                if item is done:
-                    return
-                if isinstance(item, BaseException):
-                    raise item
-                yield item
+            for event in gen:
+                yield event
+                await asyncio.sleep(0)
         finally:
-            stop.set()
-            slots.release()  # wake a pump stalled on a full buffer
-            await exited
-            thread.join()
+            gen.close()
 
     @property
     def result(self) -> Optional[RunResult]:

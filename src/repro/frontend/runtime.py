@@ -916,8 +916,8 @@ def build_runtime() -> Dict[str, Function]:
 
     Each call returns the same map of the same ``Function`` objects,
     which no program changes, so the executor decodes their blocks once
-    per process.  The lock makes concurrent first callers (daemon
-    sessions on their pump threads) agree on one build.
+    per process.  The lock makes concurrent first callers (sessions
+    explored on threads) agree on one build.
     """
     global _RUNTIME
     if _RUNTIME is None:

@@ -2,9 +2,11 @@
 
 :class:`ChefService` accepts many concurrent symbolic-execution
 sessions over one local (Unix-domain) socket.  Every session explores
-serially inside the daemon process, on the pump thread of
-:meth:`~repro.api.session.SymbolicSession.aevents`, as one engine —
-the way Chef runs each target.
+serially inside the daemon process, as one engine — the way Chef runs
+each target — on the daemon's event-loop thread:
+:meth:`~repro.api.session.SymbolicSession.aevents` computes one event
+at a time and yields to the loop after each, so concurrent sessions
+take turns path by path and no event crosses threads.
 
 Per-session budgets are clamped against the service caps
 (:class:`ServiceConfig`), admission is bounded by a semaphore, and the
@@ -178,8 +180,8 @@ class ChefService:
         started = time.monotonic()
         terminal: Optional[Dict[str, Any]] = None
         try:
-            # Closing the stream returns once the pump thread has exited,
-            # so the session's telemetry is final when it is folded below.
+            # Closing the stream closes the Chef loop, so the session's
+            # telemetry is final when it is folded below.
             with self.telemetry.span("service.session", sid=sid):
                 async with contextlib.aclosing(session.aevents()) as stream:
                     async for event in stream:
@@ -196,7 +198,7 @@ class ChefService:
                 self.registry.counter("service.sessions.finished").inc()
         except (ConnectionResetError, BrokenPipeError):
             # Client hung up mid-stream: closing the stream unwound the
-            # Chef loop and stopped the pump thread.
+            # Chef loop.
             self.registry.counter("service.sessions.abandoned").inc()
         except Exception as exc:
             self.registry.counter("service.sessions.failed").inc()
@@ -218,8 +220,8 @@ class ChefService:
     def _fold_session(self, session, session_tele: Telemetry, duration: float) -> None:
         """Fold a finished session's telemetry into the service context.
 
-        Runs on the loop thread once the session's pump thread has
-        exited.  When no session is left running or waiting, the
+        Runs on the loop thread once the session's stream is closed.
+        When no session is left running or waiting, the
         process-global symbolic tables are cleared, so they do not grow
         with every session the daemon serves.  Engines namespace their
         variables, so no later session can meet a stale ``Sym``.

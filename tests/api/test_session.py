@@ -192,17 +192,26 @@ def _sequence(events):
     ]
 
 
-async def _drain(session, **kwargs):
-    return [event async for event in session.aevents(**kwargs)]
+async def _drain(session):
+    return [event async for event in session.aevents()]
 
 
-def _pump_threads():
-    return {t for t in threading.enumerate() if t.name == "session-events"}
+def _on_computed(session, record):
+    """Call ``record(event)`` as the session's stream computes each event."""
+    inner = session._stream
+
+    def recording_stream():
+        for event in inner():
+            record(event)
+            yield event
+
+    session._stream = recording_stream
 
 
 class TestAsyncEvents:
-    """``aevents()`` streams exactly what ``events()`` yields, through a
-    pump thread that blocks only on the events a client waits for."""
+    """``aevents()`` streams exactly what ``events()`` yields, computed
+    on the loop thread one event at a time, yielding to the loop after
+    each."""
 
     def test_sequence_matches_events(self):
         config = _config(seed=1)
@@ -212,33 +221,52 @@ class TestAsyncEvents:
         assert streamed == expected
         assert sum(name == "TestCaseFound" for name, _ in streamed) > 1
 
-    def test_only_awaited_events_block_the_pump(self, monkeypatch):
-        blocking = []
-        handoff = asyncio.run_coroutine_threadsafe
+    def test_streams_on_the_loop_thread_without_handoffs(self, monkeypatch):
+        handoffs = []
+        started = []
+        for owner, name in (
+            (asyncio, "run_coroutine_threadsafe"),
+            (asyncio.BaseEventLoop, "call_soon_threadsafe"),
+            (threading.Thread, "start"),
+        ):
+            original = getattr(owner, name)
 
-        def counting(coro, loop):
-            blocking.append(coro)
-            return handoff(coro, loop)
+            def counting(*args, _original=original, _name=name, **kwargs):
+                (started if _name == "start" else handoffs).append(_name)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(asyncio, "run_coroutine_threadsafe", counting)
-        events = asyncio.run(_drain(Session.from_program(_program(4), _config())))
-        found = sum(isinstance(e, TestCaseFound) for e in events)
-        terminal = sum(isinstance(e, RunFinished) for e in events)
-        assert terminal == 1
-        assert len(blocking) <= found + terminal < len(events)
+            monkeypatch.setattr(owner, name, counting)
+        session = Session.from_program(_program(4), _config())
+        computed_on = []
+        _on_computed(session, lambda _event: computed_on.append(threading.get_ident()))
+        before = threading.enumerate()
+
+        async def stream():
+            loop_thread = threading.get_ident()
+            events = await _drain(session)
+            return loop_thread, events
+
+        loop_thread, events = asyncio.run(stream())
+        assert isinstance(events[-1], RunFinished)
+        assert handoffs == [] and started == []
+        assert computed_on == [loop_thread] * len(events)
+        assert threading.enumerate() == before
 
     def test_concurrent_streams_keep_order_under_frequent_switching(self):
-        # Four pumps on a 1-slot buffer, switching threads every 10 us:
-        # a lost or reordered hand-off changes some stream's sequence.
+        # Four streams on one loop take turns event by event: a lost or
+        # reordered event changes some stream's sequence.
         expected = _sequence(Session.from_program(_program(4), _config()).events())
+        turns = []
 
         async def all_streams():
             sessions = [Session.from_program(_program(4), _config()) for _ in range(4)]
+            for index, session in enumerate(sessions):
+                _on_computed(session, lambda _event, index=index: turns.append(index))
             return await asyncio.wait_for(
-                asyncio.gather(*(_drain(s, max_buffer=1) for s in sessions)), 120.0
+                asyncio.gather(*(_drain(s) for s in sessions)), 120.0
             )
 
-        before = _pump_threads()
+        before = threading.enumerate()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -246,9 +274,10 @@ class TestAsyncEvents:
         finally:
             sys.setswitchinterval(interval)
         assert [_sequence(events) for events in streams] == [expected] * 4
-        assert _pump_threads() - before == set()
+        assert turns == [0, 1, 2, 3] * len(expected)
+        assert threading.enumerate() == before
 
-    def test_normal_close_joins_the_pump_without_sleeping(self, monkeypatch):
+    def test_yields_to_the_loop_once_per_event_without_timed_sleeps(self, monkeypatch):
         sleeps = []
         real_sleep = asyncio.sleep
 
@@ -257,67 +286,55 @@ class TestAsyncEvents:
             return await real_sleep(*args, **kwargs)
 
         monkeypatch.setattr(asyncio, "sleep", counting_sleep)
-        before = _pump_threads()
+        before = threading.enumerate()
 
         async def until_finished(session):
             stream = session.aevents()
+            taken = 0
             async for event in stream:
+                taken += 1
                 if isinstance(event, RunFinished):
                     break
             await stream.aclose()
-            return _pump_threads() - before
+            return taken
 
-        session = Session.from_program(_program(), _config())
-        assert asyncio.run(until_finished(session)) == set()
-        asyncio.run(_drain(Session.from_program(_program(), _config())))
-        assert _pump_threads() - before == set()
-        assert sleeps == []
+        # Closed at RunFinished: the yield after the last event never ran.
+        taken = asyncio.run(until_finished(Session.from_program(_program(), _config())))
+        assert sleeps == [(0,)] * (taken - 1)
+        assert threading.enumerate() == before
+        sleeps.clear()
+        events = asyncio.run(_drain(Session.from_program(_program(), _config())))
+        assert sleeps == [(0,)] * len(events)
+        assert threading.enumerate() == before
 
     def test_stalled_consumer_bounds_outstanding_events(self):
         session = Session.from_program(_program(4), _config())
         pulled = []
-        inner = session._stream
-
-        def counting_stream():
-            for event in inner():
-                pulled.append(event)
-                yield event
-
-        session._stream = counting_stream
-        before = _pump_threads()
+        _on_computed(session, pulled.append)
+        before = threading.enumerate()
 
         async def stall():
-            stream = session.aevents(max_buffer=2)
+            stream = session.aevents()
             async for _event in stream:
                 break  # take one event, then stop reading
-            # Let the pump fill the buffer, then give it room to overrun.
-            for _ in range(500):
-                if len(pulled) >= 3:
-                    break
-                await asyncio.sleep(0.01)
+            # Give the loop every chance to compute ahead.
             for _ in range(10):
                 await asyncio.sleep(0.01)
             outstanding = len(pulled) - 1
             await stream.aclose()
             return outstanding
 
-        assert asyncio.run(stall()) == 2
-        assert _pump_threads() - before == set()
+        assert asyncio.run(stall()) == 0
+        assert threading.enumerate() == before
         assert session.result is None  # abandoned mid-run
 
     def test_cancelling_a_waiting_consumer_stops_the_pump(self):
+        # Cancelled while waiting for its second event, the consumer's
+        # stream closes the Chef loop before computing that event.
         session = Session.from_program(_program(4), _config())
-        release = threading.Event()
-        inner = session._stream
-
-        def gated_stream():
-            stream = inner()
-            yield next(stream)
-            assert release.wait(timeout=60.0)  # hold the second event back
-            yield from stream
-
-        session._stream = gated_stream
-        before = _pump_threads()
+        pulled = []
+        _on_computed(session, pulled.append)
+        before = threading.enumerate()
 
         async def cancel_while_waiting():
             first = asyncio.Event()
@@ -329,21 +346,14 @@ class TestAsyncEvents:
             task = asyncio.get_running_loop().create_task(consume())
             await first.wait()
             task.cancel()
-            await asyncio.sleep(0)
-            release.set()
             with pytest.raises(asyncio.CancelledError):
                 await task
 
         asyncio.run(cancel_while_waiting())
-        assert _pump_threads() - before == set()
+        assert len(pulled) == 1
+        assert threading.enumerate() == before
         with pytest.raises(ReproError, match="raised"):
             session.run()
-
-    def test_empty_buffer_is_rejected_before_claiming_the_stream(self):
-        session = Session.from_program(_program(2), _config())
-        with pytest.raises(ValueError, match="max_buffer"):
-            asyncio.run(_drain(session, max_buffer=0))
-        assert not session.started
 
     def test_exploration_error_reraises_at_the_async_for(self):
         session = Session.from_program(_program(2), _config())
@@ -356,7 +366,7 @@ class TestAsyncEvents:
             yield  # pragma: no cover
 
         session._chef_instance().stream = exploding_stream
-        before = _pump_threads()
+        before = threading.enumerate()
         with pytest.raises(Boom):
             asyncio.run(_drain(session))
-        assert _pump_threads() - before == set()
+        assert threading.enumerate() == before

@@ -12,27 +12,35 @@ assertions):
 - the daemon clears the process-global symbolic tables when it goes
   idle;
 - budgets are clamped server-side and surface as ``BudgetExhausted``;
-- a client that hangs up mid-stream abandons its session, which stops
-  the session's pump thread.
+- a client that hangs up mid-stream abandons its session, which closes
+  the session's Chef loop;
+- sessions share the daemon's event loop path by path: a ping and a
+  short session started during a long one both finish before it;
+- a refused connect closes the client's socket.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import socket
 import threading
 import time
+import warnings
 
 import pytest
 
 from repro.api.events import CheckpointSaved
+from repro.api.language import get_language
 from repro.api.session import SymbolicSession
 from repro.bench.workloads import branchy_source
 from repro.chef.options import ChefConfig
 from repro.clay import compile_program
 from repro.lowlevel import expr
 from repro.parallel import pool as pool_module
-from repro.service import ChefService, ServiceConfig, ServiceError
+from repro.service import ChefService, ServiceClient, ServiceConfig, ServiceError
 from repro.service import protocol
+from repro.targets import pylite_packages as PL
 
 
 def _in_process_multiset(source: str):
@@ -132,6 +140,67 @@ class TestHangup:
             time.sleep(0.02)
         assert metrics.get("service.sessions.finished", 0) == 0
         assert not [t for t in threading.enumerate() if t.name == "session-events"]
+
+
+def _turnstile(seed_string: str) -> str:
+    (_kind, name, _default), = PL.TURNSTILE_TEST["inputs"]
+    declaration = get_language("pylite").declare_string(name, seed_string)
+    return f"{PL.TURNSTILE_SOURCE}\n{declaration}\n{PL.TURNSTILE_TEST['body']}\n"
+
+
+class TestInterleaving:
+    def test_short_work_finishes_during_a_long_session(self, daemon_factory):
+        """Gated on arrival order only: a daemon that runs a session to
+        its end without yielding answers the ping, and finishes the
+        short session, only after the long session's RunFinished."""
+        short_source = _turnstile("cpc")  # 15 paths
+        baseline = SymbolicSession(
+            "pylite", short_source, ChefConfig(time_budget=120.0, max_ll_paths=10_000)
+        )
+        expected = protocol.path_event_multiset(
+            protocol.event_to_wire(event) for event in baseline.events()
+        )
+        _service, client = daemon_factory()
+        arrivals = []
+        started = threading.Event()
+
+        def stream_long_session():
+            for message in client.run_events(clay=branchy_source(11)):  # 2048 paths
+                started.set()
+                if message.get("event") == "RunFinished":
+                    arrivals.append("long finished")
+
+        reader = threading.Thread(target=stream_long_session)
+        reader.start()
+        try:
+            assert started.wait(timeout=120.0)
+            second = ServiceClient(client.socket_path, timeout=120.0)
+            assert second.ping()["ok"] is True
+            arrivals.append("ping")
+            events, result = second.run(
+                language="pylite", source=short_source, config={"time_budget": 120.0}
+            )
+            arrivals.append("short finished")
+        finally:
+            reader.join(timeout=120.0)
+        assert not reader.is_alive()
+        assert arrivals == ["ping", "short finished", "long finished"]
+        assert result["ll_paths"] == 15
+        assert protocol.path_event_multiset(events) == expected
+
+
+class TestClient:
+    def test_refused_connect_closes_the_socket(self, tmp_path):
+        path = str(tmp_path / "nobody.sock")
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as bound:
+            bound.bind(path)  # the path exists, but nothing listens on it
+        client = ServiceClient(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConnectionRefusedError):
+                client.ping()
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestWarmRun:
